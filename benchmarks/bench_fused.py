@@ -4,8 +4,8 @@ Two layers of measurement, both written to ``benchmarks/BENCH_fused.json``:
 
 * **Kernel level** — the MBU modular adder through four execution
   strategies (interpretive walk, scalar compiled VM, fused generated
-  kernel, fused stacked-plane numpy kernels) at n = 64, 256 and batch =
-  1024/4096, tally off and on.  The acceptance bar is fused (codegen)
+  bigint kernel, fused generated numpy vector kernel) at n = 64, 256 and
+  batch = 1024/4096, tally off and on.  The acceptance bar is fused (codegen)
   >= 2x over the scalar compiled VM at n = 256, batch = 4096;
   ``test_report_fused`` asserts it.  One-off compile/fuse/kernel-
   generation times are reported separately — a sweep pays them once.
@@ -81,7 +81,7 @@ def test_fused_throughput(benchmark, n, batch):
     interp = best(lambda sim: sim.run())
     scalar = best(lambda sim: sim.run_compiled(program, fused=False))
     codegen = best(lambda sim: sim.run_compiled(fused))
-    arrays = best(lambda sim: sim.run_compiled(fused, kernels="arrays"))
+    vector = best(lambda sim: sim.run_compiled(fused, kernels="vector"))
     scalar_tally = best(lambda sim: sim.run_compiled(program_tally, fused=False), tally=True)
     codegen_tally = best(lambda sim: sim.run_compiled(fused_tally), tally=True)
 
@@ -97,10 +97,10 @@ def test_fused_throughput(benchmark, n, batch):
         "interpretive_seconds": interp,
         "scalar_compiled_seconds": scalar,
         "fused_codegen_seconds": codegen,
-        "fused_arrays_seconds": arrays,
+        "fused_vector_seconds": vector,
         "speedup_vs_scalar": scalar / codegen,
         "speedup_vs_interpretive": interp / codegen,
-        "arrays_vs_scalar": scalar / arrays,
+        "vector_vs_scalar": scalar / vector,
         "scalar_tally_seconds": scalar_tally,
         "fused_tally_seconds": codegen_tally,
         "speedup_tally_vs_scalar": scalar_tally / codegen_tally,
@@ -161,7 +161,7 @@ def test_report_fused(benchmark, capsys):
             f"fused={row['fused_codegen_seconds']*1e3:8.2f} ms  "
             f"speedup={row['speedup_vs_scalar']:5.2f}x  "
             f"(tally on: {row['speedup_tally_vs_scalar']:5.2f}x, "
-            f"arrays: {row['arrays_vs_scalar']:5.2f}x, "
+            f"vector: {row['vector_vs_scalar']:5.2f}x, "
             f"vs interp: {row['speedup_vs_interpretive']:5.2f}x)"
         )
     if _PIPELINE:

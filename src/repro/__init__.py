@@ -27,7 +27,7 @@ The package provides:
   transform pass, and a shrinking fuzzer (``python -m repro.verify``);
 * ``repro.noise`` — seeded noise injection: faulty measurement outcomes
   (``NoisyOutcomes``) and per-lane bit-flip channels at annotated noise
-  points, deterministic across every backend and shard count.
+  points, deterministic across every backend.
 """
 
 __version__ = "1.6.0"

@@ -12,9 +12,8 @@ they are not", at Monte-Carlo scale:
     outcome provider, this models a faulty measurement *record*: the
     classical bit (and the post-measurement state the simulators assign)
     disagrees with what an ideal apparatus would have reported.  It
-    composes with ``Forced``/``Constant``/``Random`` providers and with
-    :class:`~repro.sim.dispatch.SlicedOutcomes` sharding (it exposes
-    ``clone()``), so noisy runs work on every execution rung.
+    composes with ``Forced``/``Constant``/``Random`` providers, so noisy
+    runs work on every execution rung.
 
 :class:`NoiseConfig` + :func:`insert_noise_points`
     Per-lane bit-flip channels in the state itself.  A *noise point* is an
@@ -24,16 +23,14 @@ they are not", at Monte-Carlo scale:
     each measurement (on the measured qubit) and after each top-level MBU
     block (on the just-reset garbage qubit) — the residual-error model for
     a faulty measurement apparatus.  Pass ``noise=NoiseConfig(rate, seed)``
-    to :func:`repro.sim.simulate` (any backend) or to the bitplane/sharded
-    runners directly.
+    to :func:`repro.sim.simulate` (any backend) or to the bitplane runner
+    directly.
 
 Seeding contract: both mechanisms draw from their own
 :class:`~repro.sim.outcomes.RandomOutcomes` stream, independent of the
 measurement-outcome stream, so ``rate=0.0`` consumes *zero* flip entropy
 and is bit-identical to no noise, and a fixed ``(seed, rate)`` produces
-identical results across all execution strategies and every shard count
-(channel draws go through the same full-width-mask slicing as outcome
-draws; see ``docs/noise.md``).
+identical results across all execution strategies (see ``docs/noise.md``).
 
 :mod:`repro.pipeline.noise` builds the protocol success / postselection
 analysis on top of these primitives.
@@ -65,8 +62,7 @@ class NoiseConfig:
     :class:`~repro.sim.outcomes.RandomOutcomes` stream (independent of the
     measurement-outcome stream).  ``rate=0.0`` is exactly no noise: the
     channel stream is never constructed, let alone consumed.  The dataclass
-    is frozen and hashable so it can ride in shard-worker task tuples and
-    memo keys unchanged.
+    is frozen and hashable so it can ride in memo keys unchanged.
     """
 
     rate: float
@@ -89,13 +85,6 @@ class NoisyOutcomes(OutcomeProvider):
     stream — per lane for vectorized draws.  ``rate=0.0`` draws nothing
     from the flip stream, so the composite is bit-identical to the bare
     ``inner`` provider.
-
-    The wrapper is shard-safe: ``clone()`` re-clones ``inner`` (via
-    :func:`repro.sim.dispatch.clone_provider`) and re-seeds the flip
-    stream, and both streams draw full-width masks under
-    :class:`~repro.sim.dispatch.SlicedOutcomes`, so a fixed
-    ``(inner seed, rate, seed)`` produces the same per-lane outcomes for
-    every shard count.
     """
 
     def __init__(
@@ -123,11 +112,6 @@ class NoisyOutcomes(OutcomeProvider):
     def reset(self) -> None:
         self.inner.reset()
         self._flips = RandomOutcomes(self.seed)
-
-    def clone(self) -> "NoisyOutcomes":
-        from ..sim.dispatch import clone_provider  # deferred: dispatch imports sim
-
-        return NoisyOutcomes(clone_provider(self.inner), self.rate, self.seed)
 
     @property
     def consumed(self) -> Optional[int]:
@@ -160,8 +144,8 @@ def insert_noise_points(circuit: Circuit, name: str | None = None) -> Circuit:
     comparison the pipeline's noise table draws.
 
     Points go at the top level only (never inside conditional or MBU
-    bodies), so the noisy circuit stays shard-safe: every execution
-    strategy and every shard count reaches every noise point.
+    bodies), so every lane of every execution strategy reaches every
+    noise point.
     """
     out = circuit.copy_empty(
         name if name is not None else f"noisy({circuit.name})"

@@ -134,7 +134,7 @@ def _parse(argv: Optional[Sequence[str]]) -> argparse.Namespace:
                              "composes with --smoke and --check)")
     parser.add_argument("--kernels", default=None, metavar="STRATEGY",
                         help="generated-kernel strategy for the Monte-Carlo "
-                             "columns: codegen, vector, arrays or auto "
+                             "columns: codegen, vector or auto "
                              "(execution-only; composes with --smoke)")
     parser.add_argument("--no-fail-fast", action="store_true",
                         help="record tasks that exhaust their retries in the "

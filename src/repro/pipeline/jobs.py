@@ -346,7 +346,7 @@ class ExecutionPolicy:
     #: compiled program.  Execution-only: results are bit-identical.
     schedule: bool = False
     #: Generated-kernel strategy for the Monte-Carlo columns ("codegen",
-    #: "vector", "arrays", "auto"; None = backend default).  Execution-only.
+    #: "vector", "auto"; None = backend default).  Execution-only.
     kernels: Optional[str] = None
 
     def __post_init__(self) -> None:

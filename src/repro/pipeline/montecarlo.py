@@ -88,11 +88,8 @@ def mc_expected_counts(
     inputs: Optional[Mapping[str, Any]] = None,
     compiled: bool = True,
     program: Any = None,
-    execution: str = "auto",
     kernels: Optional[str] = None,
     schedule: bool = False,
-    shards: Optional[int] = None,
-    executor: Any = None,
     noise: Any = None,
 ) -> MCEstimate:
     """Estimate the expected executed count of ``gates`` over random outcomes.
@@ -116,20 +113,9 @@ def mc_expected_counts(
     are bit-identical to the interpretive path (``compiled=False``): the
     estimate still depends only on ``(seed, batch, repeats)``.
 
-    ``execution`` selects how the compiled repetitions run: ``"single"``
-    (one in-process simulator), ``"sharded"`` (lane-sharded across a
-    persistent worker pool — :mod:`repro.sim.dispatch`), or ``"auto"``
-    (the default: sharded exactly when the calibrated cost model says it
-    is cheaper for this (ops, batch) on the available cores, single
-    otherwise).  Sharded per-repetition lane tallies are bit-identical to
-    the single-process ones — each shard draws full-width outcome masks
-    and keeps its lane window — so this choice never changes an estimate,
-    only its wall time.  ``shards``/``executor`` pass through to
-    :class:`~repro.sim.dispatch.ShardPool` when sharding is in play.
-
     ``kernels`` picks the generated-kernel strategy the compiled
-    repetitions execute through (``"codegen"``, ``"vector"``,
-    ``"arrays"`` or ``"auto"``; ``None`` is the backend default) and
+    repetitions execute through (``"codegen"``, ``"vector"`` or
+    ``"auto"``; ``None`` is the backend default) and
     ``schedule=True`` runs the run-lengthening scheduler before fusion
     when this call compiles or fuses the program itself (a pre-fused
     ``program`` already made that choice — pull it from
@@ -141,17 +127,11 @@ def mc_expected_counts(
     ``noise`` (a :class:`repro.noise.NoiseConfig`) enables the bit-flip
     channel at the circuit's annotated noise points.  The channel stream
     rewinds to ``noise.seed`` at every repetition — repetitions share one
-    flip pattern, only the measurement outcomes vary — which is what keeps
-    single-process and sharded estimates bit-identical; use distinct
+    flip pattern, only the measurement outcomes vary; use distinct
     ``noise.seed`` values across estimates when independent flips matter.
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
-    if execution not in ("auto", "single", "sharded"):
-        raise ValueError(
-            f"unknown execution mode {execution!r}; "
-            "options: 'auto', 'single', 'sharded'"
-        )
     from ..sim.strategies import validate_kernels
 
     validate_kernels(kernels)
@@ -177,67 +157,26 @@ def mc_expected_counts(
             start = time.perf_counter()
             program = fuse_program(program, schedule=schedule)
             compile_seconds = time.perf_counter() - start
-    use_sharded = False
-    if compiled and execution != "single":
-        from ..sim.dispatch import program_is_flat
-        from ..sim.dispatch.cost import default_model
-
-        model = default_model()
-        if execution == "sharded":
-            use_sharded = True
-        else:  # auto: only shard when the model predicts a win
-            choice = model.choose(
-                ops=len(program.scalar.instructions),
-                batch=batch,
-                tally=False,
-                lane_counts=True,
-                candidates=("codegen", "sharded"),
-            )
-            use_sharded = choice == "sharded"
-        # Stateful providers need flat programs (every builder circuit is);
-        # fall back to single-process execution rather than fail.  Same
-        # for noise points nested inside branch bodies.
-        if use_sharded and not program_is_flat(program):
-            use_sharded = False
-        if use_sharded and noise is not None and float(noise.rate) > 0.0:
-            from ..sim.dispatch import noise_is_flat
-
-            if not noise_is_flat(program):
-                use_sharded = False
     chunks = []
     start = time.perf_counter()
-    if use_sharded:
-        from ..sim.dispatch import ShardPool
-
-        with ShardPool(
-            program, batch=batch, shards=shards, executor=executor,
-            tally=False, lane_counts=tuple(gates), kernels=kernels,
-            noise=noise,
-        ) as pool:
-            for r in range(repeats):
-                result = pool.run(
-                    inputs, outcomes=RandomOutcomes(derive_seed(seed, "rep", r))
-                )
-                chunks.append(result.lane_tally())
-    else:
-        sim = BitplaneSimulator(
-            circuit,
-            batch=batch,
-            outcomes=RandomOutcomes(derive_seed(seed, "rep", 0)),
-            tally=False,
-            lane_counts=tuple(gates),
-            noise=noise,
-        )
-        for r in range(repeats):
-            if r:
-                sim.reset(RandomOutcomes(derive_seed(seed, "rep", r)))
-            for name, value in (inputs or {}).items():
-                sim.set_register(name, value)
-            if compiled:
-                sim.run_compiled(program, kernels=kernels)
-            else:
-                sim.run()
-            chunks.append(sim.lane_tally())
+    sim = BitplaneSimulator(
+        circuit,
+        batch=batch,
+        outcomes=RandomOutcomes(derive_seed(seed, "rep", 0)),
+        tally=False,
+        lane_counts=tuple(gates),
+        noise=noise,
+    )
+    for r in range(repeats):
+        if r:
+            sim.reset(RandomOutcomes(derive_seed(seed, "rep", r)))
+        for name, value in (inputs or {}).items():
+            sim.set_register(name, value)
+        if compiled:
+            sim.run_compiled(program, kernels=kernels)
+        else:
+            sim.run()
+        chunks.append(sim.lane_tally())
     run_seconds = time.perf_counter() - start
     totals = np.concatenate(chunks)
     return MCEstimate.from_counts(

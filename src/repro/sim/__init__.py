@@ -28,9 +28,7 @@ Backends
 ``auto``
     The calibrated cost model (:mod:`repro.sim.dispatch.cost`) picks the
     cheapest capable strategy — classical, interpretive bitplane, compiled
-    scalar, fused codegen/arrays/vector, or lane-sharded parallel execution
-    (:func:`repro.sim.dispatch.run_sharded`) — for the given
-    (ops, batch, tally, cores).
+    scalar, or fused codegen/vector — for the given (ops, batch, tally).
 
 All three are :class:`~repro.sim.engine.ExecutionBackend` implementations
 driven by :class:`~repro.sim.engine.ExecutionEngine`, which owns the
@@ -41,14 +39,6 @@ the same walker.
 
 from .api import SimulationResult, available_backends, register_backend, simulate
 from .bitplane import BitplaneSimulator, LaneTallyStats, run_bitplane
-from .dispatch import (
-    ShardPool,
-    ShardedResult,
-    noise_is_flat,
-    program_is_flat,
-    run_sharded,
-    shard_ranges,
-)
 from .classical import ClassicalSimulator, UnsupportedGateError, run_classical
 from .engine import (
     EXECUTE,
@@ -85,12 +75,6 @@ __all__ = [
     "run_classical",
     "run_statevector",
     "run_bitplane",
-    "run_sharded",
-    "ShardPool",
-    "ShardedResult",
-    "shard_ranges",
-    "program_is_flat",
-    "noise_is_flat",
     "OutcomeProvider",
     "RandomOutcomes",
     "ForcedOutcomes",

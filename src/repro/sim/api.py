@@ -20,10 +20,7 @@ Built-in backends
 ``bitplane``
     ``batch`` basis-state lanes at once (``batch=`` keyword, default 64);
     ``registers`` maps names to per-lane lists and ``bits`` is a list of
-    per-lane lists, one per classical bit.  ``shards=`` splits the batch
-    into contiguous lane shards executed in parallel via
-    :mod:`repro.sim.dispatch` (``executor=`` picks process vs thread);
-    the merged result is bit-identical for every shard count.
+    per-lane lists, one per classical bit.
 ``auto``
     Resolves to the cheapest feasible backend for the workload via the
     calibrated cost model in :mod:`repro.sim.dispatch.cost`;
@@ -32,7 +29,6 @@ Built-in backends
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -205,8 +201,6 @@ def _run_bitplane(
     program: Any = None,
     fused: bool = True,
     kernels: str | None = None,
-    shards: int | None = None,
-    executor: Any = None,
     noise: Any = None,
     schedule: bool = False,
 ) -> SimulationResult:
@@ -214,37 +208,6 @@ def _run_bitplane(
 
     validate_kernels(kernels)
     _check_registers(circuit, inputs)
-    if shards is not None or executor is not None:
-        if schedule:
-            raise ValueError(
-                "schedule= applies to the single-process compiled path; "
-                "drop shards=/executor="
-            )
-        # Lane-sharded parallel execution (always compiled + fused); the
-        # merged result carries the same registers/bits/tally shapes as the
-        # single-process compiled path — see repro.sim.dispatch.
-        if fused is not True:
-            raise ValueError(
-                "sharded execution runs fused kernels; drop fused=False or "
-                "drop shards=/executor="
-            )
-        from .dispatch import run_sharded
-
-        result = run_sharded(
-            program if program is not None else circuit,
-            inputs,
-            batch=batch,
-            shards=shards,
-            executor=executor,
-            outcomes=outcomes,
-            tally=tally,
-            lane_counts=lane_counts,
-            kernels=kernels,
-            noise=noise,
-        )
-        return SimulationResult(
-            "bitplane", result.registers, result.bits, result.tally, result
-        )
     if compiled or program is not None:
         sim = BitplaneSimulator(
             circuit, batch=batch, outcomes=outcomes, tally=tally,
@@ -276,9 +239,6 @@ def _run_auto(
     tally: bool = True,
     lane_counts: Any = None,
     program: Any = None,
-    shards: int | None = None,
-    executor: Any = None,
-    cores: int | None = None,
     noise: Any = None,
 ) -> SimulationResult:
     """Pick the cheapest capable execution strategy via the calibrated cost
@@ -304,16 +264,7 @@ def _run_auto(
             compiled_ok = False
     if compiled_ok:
         ops = len(program.scalar if hasattr(program, "scalar") else program)
-        candidates = [
-            "interpretive", "scalar", "codegen", "arrays", "vector", "sharded",
-        ]
-        if noise is not None and float(noise.rate) > 0.0:
-            from .dispatch import noise_is_flat
-
-            if not noise_is_flat(program):
-                # Sharded execution cannot keep per-shard channel streams in
-                # sync when noise points sit inside branch bodies.
-                candidates.remove("sharded")
+        candidates = ["interpretive", "scalar", "codegen", "vector"]
     else:
         from ..circuits.ops import iter_flat
 
@@ -326,7 +277,7 @@ def _run_auto(
         candidates.insert(0, "classical")
     choice = default_model().choose(
         ops=ops, batch=batch, tally=tally, lane_counts=bool(lane_counts),
-        cores=cores, candidates=candidates,
+        candidates=candidates,
     )
     if choice == "classical":
         result = _run_classical(circuit, inputs, outcomes, tally=tally, noise=noise)
@@ -340,16 +291,7 @@ def _run_auto(
             circuit, inputs, outcomes, batch=batch, tally=tally,
             lane_counts=lane_counts, program=program, fused=False, noise=noise,
         )
-    elif choice == "sharded":
-        result = _run_bitplane(
-            circuit, inputs, outcomes, batch=batch, tally=tally,
-            lane_counts=lane_counts, program=program,
-            shards=shards or default_model().effective_shards(
-                batch, cores or os.cpu_count() or 1
-            ),
-            executor=executor, noise=noise,
-        )
-    else:  # codegen / arrays / vector
+    else:  # codegen / vector
         result = _run_bitplane(
             circuit, inputs, outcomes, batch=batch, tally=tally,
             lane_counts=lane_counts, program=program, kernels=choice, noise=noise,

@@ -137,7 +137,6 @@ class BitplaneSimulator(ExecutionBackend):
         tally: bool = True,
         lane_counts: Sequence[str] | None = None,
         noise: Any = None,
-        noise_provider: OutcomeProvider | None = None,
     ) -> None:
         if batch < 1:
             raise ValueError("batch must be at least 1")
@@ -145,8 +144,6 @@ class BitplaneSimulator(ExecutionBackend):
         # ``noise`` is duck-typed — anything with .rate/.seed works — so the
         # sim layer never imports the noise package.  ``rate=0.0`` builds no
         # channel stream at all: bit-identical to no noise.
-        # ``noise_provider`` overrides the channel stream (shard workers
-        # pass a SlicedOutcomes window so channel draws stay full-width).
         self._noise_rate = 0.0
         self._noise_stream: OutcomeProvider | None = None
         if noise is not None:
@@ -155,10 +152,7 @@ class BitplaneSimulator(ExecutionBackend):
                 raise ValueError(f"noise rate must lie in [0, 1], got {rate}")
             if rate > 0.0:
                 self._noise_rate = rate
-                self._noise_stream = (
-                    noise_provider if noise_provider is not None
-                    else RandomOutcomes(int(noise.seed))
-                )
+                self._noise_stream = RandomOutcomes(int(noise.seed))
         self.circuit = circuit
         self.batch = batch
         self.words = (batch + 63) // 64
@@ -355,18 +349,13 @@ class BitplaneSimulator(ExecutionBackend):
         self.engine.execute(self.circuit.ops)
         return self
 
-    def reset(
-        self,
-        outcomes: OutcomeProvider | None = None,
-        noise_provider: OutcomeProvider | None = None,
-    ) -> "BitplaneSimulator":
+    def reset(self, outcomes: OutcomeProvider | None = None) -> "BitplaneSimulator":
         """Return the simulator to its pristine state without reallocating.
 
         Zeroes the plane buffers and per-lane counters in place, empties
         the mask/garbage stacks, starts a fresh tally, and swaps in a new
         outcome provider (or rewinds the existing one via its ``reset``).
-        The bit-flip channel stream is likewise swapped
-        (``noise_provider=``) or rewound.  This is how
+        The bit-flip channel stream is rewound.  This is how
         :func:`repro.pipeline.montecarlo.mc_expected_counts` reuses one
         simulator (and one compiled program) across repetitions.
         """
@@ -385,14 +374,7 @@ class BitplaneSimulator(ExecutionBackend):
             self.engine.outcomes = outcomes
         else:
             self.engine.outcomes.reset()
-        if noise_provider is not None:
-            if self._noise_stream is None:
-                raise ValueError(
-                    "noise_provider= passed but the simulator was built "
-                    "without an enabled noise config"
-                )
-            self._noise_stream = noise_provider
-        elif self._noise_stream is not None:
+        if self._noise_stream is not None:
             self._noise_stream.reset()
         if self.engine.tally is not None:
             self.engine.tally = GateCounts()
@@ -413,9 +395,8 @@ class BitplaneSimulator(ExecutionBackend):
         :mod:`repro.sim.kernels`: ``kernels="codegen"`` (default) runs the
         generated straight-line bigint kernel, ``kernels="vector"`` the
         generated straight-line numpy kernel over the packed plane matrix,
-        ``kernels="arrays"`` the stacked-plane gather/scatter plan
-        interpreter, and ``kernels="auto"`` asks the calibrated cost model
-        (:mod:`repro.sim.dispatch.cost`) to pick among them for this
+        and ``kernels="auto"`` asks the calibrated cost model
+        (:mod:`repro.sim.dispatch.cost`) to pick between them for this
         (program, batch).  ``schedule=True`` runs the run-lengthening
         scheduler (:func:`repro.transform.compile.schedule_program`) before
         fusion — bit-identical results, longer same-opcode runs (ignored
@@ -451,7 +432,7 @@ class BitplaneSimulator(ExecutionBackend):
             fuse_program,
         )
 
-        from .strategies import validate_kernels
+        from .strategies import FUSED_KERNELS, validate_kernels
 
         validate_kernels(kernels)
         if kernels is not None and not fused:
@@ -501,7 +482,7 @@ class BitplaneSimulator(ExecutionBackend):
                     batch=self.batch,
                     tally=tallying,
                     lane_counts=tracking,
-                    candidates=("codegen", "arrays", "vector"),
+                    candidates=FUSED_KERNELS,
                 )
             return self._run_fused(program, kernels or "codegen", tallying, tracking)
         if isinstance(program, FusedProgram):
@@ -612,15 +593,10 @@ class BitplaneSimulator(ExecutionBackend):
     ) -> "BitplaneSimulator":
         """Execute a :class:`~repro.transform.compile.FusedProgram` and fold
         its per-scope-entry events into the tally / lane counters."""
-        from .kernels import (  # local: avoids import at startup
-            run_fused_arrays,
-            run_fused_vector,
-        )
+        from .kernels import run_fused_vector  # local: avoids import at startup
 
         collect = tallying or tracking
-        if strategy == "arrays":
-            events = run_fused_arrays(self, program, collect)
-        elif strategy == "vector":
+        if strategy == "vector":
             events = run_fused_vector(self, program, collect)
         else:
             # Marshal the numpy planes into resident bigints (zero-copy

@@ -1,182 +1,16 @@
-"""Lane-sharded parallel execution of compiled bit-plane programs.
+"""Strategy dispatch: the calibrated cost model behind ``"auto"``.
 
-One fused program, ``B`` independent Monte-Carlo lanes: the single-process
-backend ladder tops out at one core because every lane lives in the same
-bigint (or plane matrix).  Lanes never interact — a batch run *is* ``B``
-independent single-input runs — so the batch splits losslessly into
-contiguous *shards*, each executed on its own
-:class:`~repro.sim.bitplane.BitplaneSimulator` in a process (or thread)
-pool, and the per-shard results merge exactly:
-
-* register / classical-bit lane lists concatenate in lane order;
-* per-lane ``lane_counts`` arrays concatenate in lane order;
-* aggregate tallies merge as ``Fraction(sum of executed, B)`` — exact,
-  because each shard reports ``Fraction(executed_s, B_s)``.
-
-Shard-count-independent determinism
------------------------------------
-Each shard gets a :class:`SlicedOutcomes` provider: a fresh clone of the
-root :class:`~repro.sim.outcomes.OutcomeProvider` that draws a **full
-``B``-lane mask per measurement event** and keeps only the shard's
-contiguous lane window.  Every shard therefore consumes the root stream
-identically to the single-process run, so results are *bit-identical for
-every shard count* — ``shards=1`` is literally the existing path, and the
-pipeline's golden sweep artifacts cannot move when sharding is enabled.
-
-The slicing argument is sound whenever every shard reaches the same
-measurement events as the global run, i.e. when every sampling site (MBU
-headers, X-basis measurements) sits at branch depth 0 —
-:func:`program_is_flat`.  All builder-emitted circuits in this repo are
-flat (MBU blocks open at top level; their bodies contain no measurements).
-For non-flat circuits a shard whose local branch mask is empty would skip
-draws the global run makes, desynchronizing *stateful* providers — so
-:func:`run_sharded` rejects that combination, while stateless
-:class:`~repro.sim.outcomes.ConstantOutcomes` remains sound on any
-program (the equivalence oracle uses exactly that split).
-
-Process-pool mechanics
-----------------------
-Programs are registered in a module-global table *before* the pool is
-created, so fork-started workers inherit them for free; on platforms (or
-caller-supplied executors) where that cannot work, the program ships with
-the task and the worker memoizes it by token — either way a worker builds
-each program's kernel once and reuses one reset simulator per shard
-across repetitions, which is what makes repeated Monte-Carlo runs pay
-pool overhead only at steady state.
-
-See ``docs/performance.md`` for the measured scaling and
-:mod:`repro.sim.dispatch.cost` for the calibrated backend chooser that
-``backend="auto"`` / ``kernels="auto"`` expose.
+:mod:`repro.sim.dispatch.cost` ranks the execution rungs of
+:data:`repro.sim.strategies.LADDER` for one (ops, batch, tally) request;
+``backend="auto"`` and ``kernels="auto"`` consult it.  This package also
+keeps :func:`program_is_flat`, a structural query on compiled programs.
 """
 
 from __future__ import annotations
 
-import itertools
-import multiprocessing
-import os
-from collections import namedtuple
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any
 
-import numpy as np
-
-from ...circuits.circuit import Register
-from ...circuits.counts import GateCounts
-from ..bitplane import BitplaneSimulator, LaneTallyStats
-from ..outcomes import (
-    ConstantOutcomes,
-    ForcedOutcomes,
-    OutcomeProvider,
-    RandomOutcomes,
-)
-
-__all__ = [
-    "ShardPool",
-    "ShardedResult",
-    "SlicedOutcomes",
-    "clone_provider",
-    "noise_is_flat",
-    "program_is_flat",
-    "run_sharded",
-    "shard_ranges",
-]
-
-#: Normalized bit-flip channel parameters shipped in shard tasks.  A plain
-#: named tuple (hashable, picklable, duck-type compatible with
-#: ``repro.noise.NoiseConfig``'s ``rate``/``seed``) so the dispatch layer
-#: never imports the noise package.
-_ChannelSpec = namedtuple("_ChannelSpec", ("rate", "seed"))
-
-#: Below this many lanes per shard, splitting costs more than it saves.
-MIN_SHARD_LANES = 512
-
-
-def shard_ranges(batch: int, shards: int) -> Tuple[Tuple[int, int], ...]:
-    """Split ``batch`` lanes into ``shards`` contiguous ``(lo, hi)`` windows.
-
-    The first ``batch % shards`` shards take one extra lane, so any batch
-    divides (non-divisible batches included) and lane order is preserved:
-    concatenating the windows in order reproduces ``range(batch)``.
-    """
-    if shards < 1:
-        raise ValueError("shards must be at least 1")
-    if shards > batch:
-        raise ValueError(f"cannot split {batch} lanes into {shards} shards")
-    base, extra = divmod(batch, shards)
-    ranges: List[Tuple[int, int]] = []
-    lo = 0
-    for s in range(shards):
-        hi = lo + base + (1 if s < extra else 0)
-        ranges.append((lo, hi))
-        lo = hi
-    return tuple(ranges)
-
-
-def clone_provider(provider: Optional[OutcomeProvider]) -> OutcomeProvider:
-    """A fresh, unconsumed copy of ``provider`` for one shard's stream.
-
-    Only providers whose stream can be reproduced from scratch are
-    cloneable: seeded :class:`~repro.sim.outcomes.RandomOutcomes`, scripted
-    :class:`~repro.sim.outcomes.ForcedOutcomes`, stateless
-    :class:`~repro.sim.outcomes.ConstantOutcomes`, or anything exposing a
-    ``clone()`` method.  ``None`` clones to the engine default
-    (``RandomOutcomes(0)``) so sharded and single-process defaults agree.
-    """
-    if provider is None:
-        return RandomOutcomes(0)
-    if isinstance(provider, RandomOutcomes):
-        if provider.seed is None:
-            raise ValueError(
-                "sharded execution needs a reproducible outcome stream; "
-                "construct RandomOutcomes with an explicit seed"
-            )
-        return RandomOutcomes(provider.seed)
-    if isinstance(provider, ConstantOutcomes):
-        return ConstantOutcomes(provider.value)
-    if isinstance(provider, ForcedOutcomes):
-        return ForcedOutcomes(provider._script)
-    clone = getattr(provider, "clone", None)
-    if clone is not None:
-        return clone()
-    raise ValueError(
-        f"cannot clone outcome provider {type(provider).__name__} for "
-        "sharded execution; give it a clone() method or use "
-        "RandomOutcomes/ForcedOutcomes/ConstantOutcomes"
-    )
-
-
-class SlicedOutcomes(OutcomeProvider):
-    """A contiguous lane window onto a full-width outcome stream.
-
-    Every sampling event draws a full ``total``-lane mask from the root
-    provider and keeps bits ``[lo, lo + lanes)`` — so a shard consumes the
-    root stream exactly as the single-process run does, whatever the shard
-    count.  ``consumed`` (when the root tracks it) counts full events, and
-    is therefore directly comparable across shard counts too.
-    """
-
-    def __init__(self, root: OutcomeProvider, lo: int, total: int) -> None:
-        self.root = root
-        self.lo = lo
-        self.total = total
-
-    def sample(self, p_one: float) -> int:
-        # Scalar draws still consume one full-width event so positional
-        # scripts stay aligned with the vectorized path.
-        return (self.root.sample_lanes(p_one, self.total) >> self.lo) & 1
-
-    def sample_lanes(self, p_one: float, lanes: int) -> int:
-        mask = self.root.sample_lanes(p_one, self.total)
-        return (mask >> self.lo) & ((1 << lanes) - 1)
-
-    def reset(self) -> None:
-        self.root.reset()
-
-    @property
-    def consumed(self) -> Optional[int]:
-        return getattr(self.root, "consumed", None)
+__all__ = ["program_is_flat"]
 
 
 def program_is_flat(program: Any) -> bool:
@@ -184,10 +18,10 @@ def program_is_flat(program: Any) -> bool:
 
     Sampling sites are MBU headers and X-basis measurements — the
     instructions that consume the outcome stream.  When all of them are at
-    the top level, every shard reaches every event exactly once (branch
-    bodies with empty shard-local masks contain no draws to skip), which is
-    the precondition for :class:`SlicedOutcomes` determinism with stateful
-    providers.  Z measurements draw nothing and may nest freely.
+    the top level, every lane window of the batch reaches every event
+    exactly once.  All builder-emitted circuits are flat (MBU blocks open
+    at top level; their bodies contain no measurements).  Z measurements
+    draw nothing and may nest freely.
     """
     from ...transform.compile import (  # deferred: transform sits above sim
         OP_COND,
@@ -212,453 +46,3 @@ def program_is_flat(program: Any) -> bool:
         elif op == OP_MX and depth:
             return False
     return True
-
-
-def noise_is_flat(program: Any) -> bool:
-    """True when every bit-flip channel point sits at branch depth 0.
-
-    The channel stream (see :mod:`repro.noise`) is sliced per shard exactly
-    like the outcome stream, so the same flatness argument applies: a noise
-    point nested in a branch body would be skipped by shards whose local
-    mask is empty, desynchronizing the per-shard channel streams.  The
-    channel stream is always stateful (there is no constant-noise
-    analogue), so :class:`ShardPool` rejects nested noise outright.
-    Circuits salted by :func:`repro.noise.insert_noise_points` are always
-    noise-flat.
-    """
-    from ...transform.compile import (  # deferred: transform sits above sim
-        OP_COND,
-        OP_ENDCOND,
-        OP_ENDMBU,
-        OP_MBU,
-        OP_NOISE,
-    )
-
-    scalar = getattr(program, "scalar", program)
-    depth = 0
-    for instr in scalar.instructions:
-        op = instr[0]
-        if op == OP_COND or op == OP_MBU:
-            depth += 1
-        elif op == OP_ENDCOND or op == OP_ENDMBU:
-            depth -= 1
-        elif op == OP_NOISE and depth:
-            return False
-    return True
-
-
-# --------------------------------------------------------------------------- #
-# worker side
-
-
-class _ProgramCircuit:
-    """A minimal circuit stand-in rebuilt from compiled-program metadata.
-
-    Shard workers never hold the source :class:`~repro.circuits.circuit.Circuit`
-    — the program's ``registers``/``num_qubits``/``num_bits`` metadata is
-    all a :class:`~repro.sim.bitplane.BitplaneSimulator` needs for compiled
-    execution and register I/O.
-    """
-
-    __slots__ = ("name", "num_qubits", "num_bits", "registers", "ops")
-
-    def __init__(self, program: Any) -> None:
-        self.name = program.source
-        self.num_qubits = program.num_qubits
-        self.num_bits = program.num_bits
-        self.registers = {
-            name: Register(name, tuple(qubits)) for name, qubits in program.registers
-        }
-        self.ops: Tuple[Any, ...] = ()
-
-
-_token_counter = itertools.count(1)
-
-#: Token -> program.  Filled by the parent before pool creation so
-#: fork-started workers inherit every program they will execute; workers
-#: also memoize shipped programs here (and their per-shard simulators in
-#: ``_WORKER_SIMS``) so kernels are built once per worker process.
-_PROGRAM_REGISTRY: Dict[str, Any] = {}
-_WORKER_SIMS: Dict[Tuple, BitplaneSimulator] = {}
-_WORKER_SIMS_MAX = 32
-
-
-def _register_program(program: Any) -> str:
-    token = f"{os.getpid()}:{next(_token_counter)}"
-    _PROGRAM_REGISTRY[token] = program
-    return token
-
-
-def _shard_worker(task: Tuple) -> Tuple:
-    """Execute one shard; module-level so process pools can pickle it."""
-    (token, shipped, lo, width, total, provider, inputs, tally, lane_counts,
-     kernels, noise) = task
-    program = _PROGRAM_REGISTRY.get(token)
-    if program is None:
-        if shipped is None:  # pragma: no cover - defensive
-            raise RuntimeError(
-                f"shard worker has no program for token {token!r} and none "
-                "was shipped with the task"
-            )
-        program = _PROGRAM_REGISTRY[token] = shipped
-    outcomes = SlicedOutcomes(provider, lo, total)
-    # The channel stream is rebuilt from its seed and sliced exactly like
-    # the outcome stream: every shard draws full-total-lane flip masks and
-    # keeps its window, so noisy runs are shard-count independent too.
-    noise_stream = (
-        SlicedOutcomes(RandomOutcomes(noise.seed), lo, total)
-        if noise is not None else None
-    )
-    key = (token, lo, width, bool(tally), tuple(lane_counts or ()), noise)
-    sim = _WORKER_SIMS.get(key)
-    if sim is None:
-        if len(_WORKER_SIMS) >= _WORKER_SIMS_MAX:
-            _WORKER_SIMS.pop(next(iter(_WORKER_SIMS)))
-        sim = BitplaneSimulator(
-            _ProgramCircuit(program), batch=width, outcomes=outcomes,
-            tally=tally, lane_counts=lane_counts,
-            noise=noise, noise_provider=noise_stream,
-        )
-        _WORKER_SIMS[key] = sim
-    else:
-        sim.reset(outcomes, noise_provider=noise_stream)
-    for name, values in (inputs or {}).items():
-        sim.set_register(name, values)
-    sim.run_compiled(program, kernels=kernels)
-    registers = {name: sim.get_register(name) for name, _ in program.registers}
-    bits = [sim.get_bit(b) for b in range(program.num_bits)]
-    lane_arrays = {
-        name: sim.lane_tally([name]) for name in (lane_counts or ())
-    }
-    return (lo, registers, bits, sim.tally, lane_arrays, outcomes.consumed)
-
-
-# --------------------------------------------------------------------------- #
-# results and merging
-
-
-@dataclass
-class ShardedResult:
-    """Losslessly merged output of one sharded run.
-
-    Mirrors the single-process observables: ``registers`` and ``bits`` are
-    per-lane lists in lane order, ``tally`` the exact average-per-lane
-    :class:`~repro.circuits.counts.GateCounts`, ``lane_counts`` the exact
-    per-lane counters per tracked gate, and ``consumed`` the number of
-    outcome events drawn (identical in every shard — asserted at merge).
-    """
-
-    batch: int
-    shards: Tuple[Tuple[int, int], ...]
-    registers: Dict[str, List[int]]
-    bits: List[List[int]]
-    tally: Optional[GateCounts]
-    lane_counts: Dict[str, np.ndarray]
-    consumed: Optional[int]
-
-    def get_register(self, name: str) -> List[int]:
-        return self.registers[name]
-
-    def get_bit(self, bit: int) -> List[int]:
-        return self.bits[bit]
-
-    def lane_tally(self, names: Optional[Sequence[str]] = None) -> np.ndarray:
-        if not self.lane_counts:
-            raise ValueError("no lane_counts were requested for this run")
-        keys = list(self.lane_counts) if names is None else list(names)
-        out = np.zeros(self.batch, dtype=np.int64)
-        for name in keys:
-            out += self.lane_counts[name]
-        return out
-
-    def lane_tally_stats(
-        self, names: Optional[Sequence[str]] = None
-    ) -> LaneTallyStats:
-        return LaneTallyStats.from_counts(self.lane_tally(names))
-
-
-def _merge_shards(
-    batch: int,
-    ranges: Tuple[Tuple[int, int], ...],
-    outcomes: List[Tuple],
-    tally: bool,
-    lane_counts: Sequence[str],
-) -> ShardedResult:
-    outcomes = sorted(outcomes, key=lambda r: r[0])  # lane order
-    registers: Dict[str, List[int]] = {}
-    bits: List[List[int]] = []
-    merged_tally = GateCounts() if tally else None
-    totals: Dict[str, Fraction] = {}
-    lanes: Dict[str, List[np.ndarray]] = {name: [] for name in lane_counts}
-    consumed_values = []
-    for (lo, hi), (got_lo, regs, shard_bits, shard_tally, lane_arrays,
-                   consumed) in zip(ranges, outcomes):
-        width = hi - lo
-        for name, values in regs.items():
-            registers.setdefault(name, []).extend(values)
-        if not bits:
-            bits = [list(b) for b in shard_bits]
-        else:
-            for merged, extra in zip(bits, shard_bits):
-                merged.extend(extra)
-        if tally and shard_tally is not None:
-            # Shard weights are Fraction(executed_s, width); scaling by the
-            # shard width recovers exact executed counts, so the merged
-            # average-per-lane tally is exact too.
-            for name, weight in shard_tally.counts.items():
-                totals[name] = totals.get(name, Fraction(0)) + weight * width
-        for name, arr in lane_arrays.items():
-            lanes[name].append(arr)
-        if consumed is not None:
-            consumed_values.append(consumed)
-    if merged_tally is not None:
-        for name, executed in totals.items():
-            merged_tally.add(name, executed / batch)
-    merged_lanes = {
-        name: (np.concatenate(chunks) if chunks
-               else np.zeros(batch, dtype=np.int64))
-        for name, chunks in lanes.items()
-    }
-    consumed = None
-    if consumed_values:
-        # Flat programs guarantee equal consumption; surface divergence
-        # loudly instead of silently reporting a maximum.
-        if len(set(consumed_values)) != 1:  # pragma: no cover - guarded earlier
-            raise RuntimeError(
-                f"shards consumed diverging outcome counts: {consumed_values}"
-            )
-        consumed = consumed_values[0]
-    return ShardedResult(
-        batch=batch,
-        shards=ranges,
-        registers=registers,
-        bits=bits,
-        tally=merged_tally,
-        lane_counts=merged_lanes,
-        consumed=consumed,
-    )
-
-
-# --------------------------------------------------------------------------- #
-# the pool
-
-
-def _default_shards(batch: int, cores: int) -> int:
-    return max(1, min(cores, batch // MIN_SHARD_LANES))
-
-
-class ShardPool:
-    """A persistent shard executor bound to one compiled program.
-
-    Construct once, call :meth:`run` per repetition: the executor, the
-    shard layout and the worker-side simulators all persist, so repeated
-    runs (the Monte-Carlo pattern) pay pool and kernel setup only once.
-
-    ``executor`` is ``"process"``, ``"thread"``, an
-    :class:`~concurrent.futures.Executor` instance (not owned — the caller
-    shuts it down), or ``None`` for automatic choice: processes when
-    multiple cores exist, threads otherwise.  ``shards=1`` runs inline in
-    the calling process — byte-for-byte the existing single-process path.
-    """
-
-    def __init__(
-        self,
-        program: Any,
-        *,
-        batch: int,
-        shards: Optional[int] = None,
-        executor: Any = None,
-        tally: bool = True,
-        lane_counts: Optional[Sequence[str]] = None,
-        kernels: Optional[str] = None,
-        noise: Any = None,
-    ) -> None:
-        from ...transform.compile import (  # deferred: transform above sim
-            CompiledProgram,
-            FusedProgram,
-            compile_program,
-            fuse_program,
-        )
-
-        if not isinstance(program, (CompiledProgram, FusedProgram)):
-            # a Circuit (or Built): compile + fuse with the metadata we need
-            circuit = getattr(program, "circuit", program)
-            program = compile_program(
-                circuit, tally=tally or bool(lane_counts)
-            )
-        if isinstance(program, CompiledProgram):
-            program = fuse_program(program)
-        if (tally or lane_counts) and not program.has_tally:
-            raise ValueError(
-                "tally/lane_counts need tally metadata but the program was "
-                "compiled with tally=False; recompile with "
-                "compile_program(circuit, tally=True)"
-            )
-        if batch < 1:
-            raise ValueError("batch must be at least 1")
-        cores = os.cpu_count() or 1
-        if shards is None:
-            shards = _default_shards(batch, cores)
-        self.program = program
-        self.batch = batch
-        self.ranges = shard_ranges(batch, shards)
-        self.tally = tally
-        self.lane_counts = tuple(lane_counts or ())
-        self.kernels = kernels
-        # Normalize the channel config (anything with .rate/.seed) into a
-        # picklable spec; rate 0 degenerates to exactly no noise.
-        self.noise: Optional[_ChannelSpec] = None
-        if noise is not None:
-            rate = float(noise.rate)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"noise rate must lie in [0, 1], got {rate}")
-            if rate > 0.0:
-                self.noise = _ChannelSpec(rate, int(noise.seed))
-        self._flat = program_is_flat(program)
-        self._noise_flat = self.noise is None or noise_is_flat(program)
-        self._register_names = {name for name, _ in program.registers}
-        self._token = _register_program(program)
-        self._owned = False
-        self._ship = False
-        if len(self.ranges) == 1 or executor == "inline":
-            self._executor: Optional[Executor] = None
-        elif isinstance(executor, Executor):
-            self._executor = executor
-            # A caller-created pool may predate program registration (or use
-            # spawn), so every task carries the program; workers memoize it.
-            self._ship = isinstance(executor, ProcessPoolExecutor)
-        else:
-            if executor is None:
-                executor = "process" if cores > 1 else "thread"
-            if executor == "thread":
-                self._executor = ThreadPoolExecutor(
-                    max_workers=len(self.ranges),
-                    thread_name_prefix="repro-shard",
-                )
-            elif executor == "process":
-                # Registration happened above, so fork-started workers
-                # inherit the program; other start methods need shipping.
-                self._executor = ProcessPoolExecutor(
-                    max_workers=len(self.ranges)
-                )
-                self._ship = multiprocessing.get_start_method() != "fork"
-            else:
-                raise ValueError(
-                    f"unknown executor {executor!r}; options: 'process', "
-                    "'thread', an Executor instance, or None"
-                )
-            self._owned = True
-
-    @property
-    def shards(self) -> int:
-        return len(self.ranges)
-
-    def _slice_inputs(
-        self, inputs: Optional[Mapping[str, Any]], lo: int, hi: int
-    ) -> Dict[str, Any]:
-        sliced: Dict[str, Any] = {}
-        for name, values in (inputs or {}).items():
-            if isinstance(values, (int, np.integer)):
-                sliced[name] = int(values)
-            else:
-                sliced[name] = [int(v) for v in values[lo:hi]]
-        return sliced
-
-    def run(
-        self,
-        inputs: Optional[Mapping[str, Any]] = None,
-        *,
-        outcomes: Optional[OutcomeProvider] = None,
-    ) -> ShardedResult:
-        """Execute every shard once and merge; see :class:`ShardedResult`."""
-        for name, values in (inputs or {}).items():
-            if name not in self._register_names:
-                raise ValueError(
-                    f"unknown register {name!r}; program has: "
-                    f"{', '.join(sorted(self._register_names)) or '(none)'}"
-                )
-            if not isinstance(values, (int, np.integer)) and \
-                    len(values) != self.batch:
-                raise ValueError(
-                    f"register {name!r}: expected {self.batch} per-lane "
-                    f"values, got {len(values)}"
-                )
-        if len(self.ranges) > 1 and not self._flat and \
-                not isinstance(outcomes, ConstantOutcomes):
-            raise ValueError(
-                "program has measurement sites nested inside branch bodies; "
-                "sharded execution with a stateful outcome provider would "
-                "desynchronize the per-shard streams — run with shards=1, "
-                "a ConstantOutcomes provider, or a flat program"
-            )
-        if len(self.ranges) > 1 and not self._noise_flat:
-            raise ValueError(
-                "program has noise points nested inside branch bodies; "
-                "sharded execution would desynchronize the per-shard "
-                "channel streams — run with shards=1 or keep noise points "
-                "at the top level (insert_noise_points does)"
-            )
-        tasks = []
-        for lo, hi in self.ranges:
-            tasks.append((
-                self._token,
-                self.program if self._ship else None,
-                lo, hi - lo, self.batch,
-                clone_provider(outcomes),
-                self._slice_inputs(inputs, lo, hi),
-                self.tally,
-                self.lane_counts,
-                self.kernels,
-                self.noise,
-            ))
-        if self._executor is None:
-            results = [_shard_worker(task) for task in tasks]
-        else:
-            results = list(self._executor.map(_shard_worker, tasks))
-        return _merge_shards(
-            self.batch, self.ranges, results, self.tally, self.lane_counts
-        )
-
-    def close(self) -> None:
-        if self._owned and self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
-            self._owned = False
-        _PROGRAM_REGISTRY.pop(self._token, None)
-
-    def __enter__(self) -> "ShardPool":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
-
-def run_sharded(
-    program: Any,
-    inputs: Optional[Mapping[str, Any]] = None,
-    *,
-    batch: int,
-    shards: Optional[int] = None,
-    executor: Any = None,
-    outcomes: Optional[OutcomeProvider] = None,
-    tally: bool = True,
-    lane_counts: Optional[Sequence[str]] = None,
-    kernels: Optional[str] = None,
-    noise: Any = None,
-) -> ShardedResult:
-    """One sharded execution of ``program`` over ``batch`` lanes.
-
-    ``program`` is a :class:`~repro.transform.compile.FusedProgram`,
-    :class:`~repro.transform.compile.CompiledProgram`, or a circuit
-    (compiled on the fly).  ``shards`` defaults to
-    ``min(cores, batch // MIN_SHARD_LANES)`` (never more shards than the
-    parallelism or the work can use); results are bit-identical for every
-    shard count and executor kind.  For repeated runs of one program, hold
-    a :class:`ShardPool` instead — this convenience builds and tears one
-    down per call.
-    """
-    with ShardPool(
-        program, batch=batch, shards=shards, executor=executor, tally=tally,
-        lane_counts=lane_counts, kernels=kernels, noise=noise,
-    ) as pool:
-        return pool.run(inputs, outcomes=outcomes)

@@ -3,12 +3,10 @@
 The backend ladder's honest benchmarks show no single winner: the fused
 codegen VM dominates mid-size batches, the generated numpy vector kernels
 take over once plane rows are long enough for SIMD to amortize ufunc
-dispatch (the legacy arrays interpreter crosses over far later), the
-scalar VM wins tiny programs, and sharding only pays once there are
-cores *and* enough lanes per shard.  This module turns those measurements
-into a choice: :func:`choose_backend` estimates wall time for every
-*capable* strategy from a small calibrated linear model and picks the
-cheapest.
+dispatch, and the scalar VM wins tiny programs.  This module turns those
+measurements into a choice: :func:`choose_backend` estimates wall time
+for every *capable* strategy from a small calibrated linear model and
+picks the cheapest.
 
 Calibration workflow
 --------------------
@@ -25,9 +23,7 @@ Calibration workflow
 The model is deliberately tiny — per backend and tally state,
 ``seconds = c0 + c_ops * ops + c_ops_words * ops * words`` with
 ``words = ceil(batch / 64)`` — because ranking only needs the crossovers
-right, not absolute times.  Sharded execution reuses the codegen work
-estimate divided by the effective shard count times a measured parallel
-``efficiency``, plus per-shard dispatch overhead.
+right, not absolute times.
 """
 
 from __future__ import annotations
@@ -62,7 +58,6 @@ _CALIBRATION_FILE = os.path.join(os.path.dirname(__file__), "calibration.json")
 DEFAULT_CALIBRATION: Dict[str, Any] = {
     "schema": 1,
     "source": "built-in defaults",
-    "min_shard_lanes": 512,
     "backends": {
         "classical": {
             "off": {"c0": 2e-05, "c_lane_ops": 4e-07},
@@ -80,17 +75,9 @@ DEFAULT_CALIBRATION: Dict[str, Any] = {
             "off": {"c0": 3e-05, "c_ops": 1.2e-07, "c_ops_words": 4e-09},
             "on": {"c0": 3e-05, "c_ops": 1.6e-07, "c_ops_words": 4e-09},
         },
-        "arrays": {
-            "off": {"c0": 2e-04, "c_ops": 1.1e-06, "c_ops_words": 6e-10},
-            "on": {"c0": 2e-04, "c_ops": 1.3e-06, "c_ops_words": 6e-10},
-        },
         "vector": {
             "off": {"c0": 5e-05, "c_ops": 6e-07, "c_ops_words": 5e-10},
             "on": {"c0": 5e-05, "c_ops": 7e-07, "c_ops_words": 5e-10},
-        },
-        "sharded": {
-            "off": {"c0": 2e-04, "c_shard": 1.5e-04, "efficiency": 0.85},
-            "on": {"c0": 2e-04, "c_shard": 1.5e-04, "efficiency": 0.85},
         },
     },
 }
@@ -124,10 +111,6 @@ class CostModel:
 
     table: Dict[str, Any]
 
-    @property
-    def min_shard_lanes(self) -> int:
-        return int(self.table.get("min_shard_lanes", 512))
-
     def _coeffs(self, backend: str, tally: bool) -> Mapping[str, float]:
         backends = self.table["backends"]
         if backend not in backends:
@@ -138,10 +121,6 @@ class CostModel:
         entry = backends[backend]
         return entry["on" if tally else "off"]
 
-    def effective_shards(self, batch: int, cores: int) -> int:
-        """Shards worth running: capped by cores and by lanes per shard."""
-        return max(1, min(cores, batch // self.min_shard_lanes))
-
     def estimate(
         self,
         backend: str,
@@ -149,21 +128,13 @@ class CostModel:
         ops: int,
         batch: int,
         tally: bool = True,
-        cores: int = 1,
     ) -> float:
         """Estimated seconds for one run of ``ops`` instructions × ``batch``
-        lanes on ``backend`` (``inf`` when the strategy cannot help)."""
+        lanes on ``backend``."""
         c = self._coeffs(backend, tally)
         words = _words(batch)
         if backend == "classical":
             return c["c0"] + c["c_lane_ops"] * ops * batch
-        if backend == "sharded":
-            shards = self.effective_shards(batch, cores)
-            if shards < 2:
-                return float("inf")
-            work = self.estimate("codegen", ops=ops, batch=batch, tally=tally)
-            return (c["c0"] + c["c_shard"] * shards
-                    + work / (shards * c["efficiency"]))
         return c["c0"] + c["c_ops"] * ops + c["c_ops_words"] * ops * words
 
     def choose(
@@ -173,26 +144,23 @@ class CostModel:
         batch: int,
         tally: bool = True,
         lane_counts: bool = False,
-        cores: Optional[int] = None,
         candidates: Optional[Sequence[str]] = None,
     ) -> str:
         """The cheapest strategy that can run the request.
 
-        Capability filtering before ranking: ``classical`` only handles one
-        lane per call (and scalar inputs), ``scalar`` cannot track per-lane
-        ``lane_counts``, and ``sharded`` needs at least two effective shards
-        (cores *and* ``min_shard_lanes`` lanes each).
+        Capability filtering before ranking: a name not on the ladder is
+        never feasible, ``classical`` only handles one lane per call (and
+        scalar inputs), and ``scalar`` cannot track per-lane
+        ``lane_counts``.
         """
-        if cores is None:
-            cores = os.cpu_count() or 1
         pool = list(candidates) if candidates is not None else list(STRATEGIES)
         feasible = []
         for name in pool:
+            if name not in STRATEGIES:
+                continue
             if name == "classical" and batch != 1:
                 continue
             if name == "scalar" and lane_counts:
-                continue
-            if name == "sharded" and self.effective_shards(batch, cores) < 2:
                 continue
             feasible.append(name)
         if not feasible:
@@ -203,7 +171,7 @@ class CostModel:
         return min(
             feasible,
             key=lambda name: self.estimate(
-                name, ops=ops, batch=batch, tally=tally, cores=cores
+                name, ops=ops, batch=batch, tally=tally
             ),
         )
 
@@ -243,15 +211,12 @@ def _lstsq(rows: List[List[float]], y: List[float]) -> List[float]:
 def fit_calibration(
     samples: Iterable[Mapping[str, Any]],
     *,
-    min_shard_lanes: int = 512,
     source: str = "benchmarks/bench_dispatch.py",
 ) -> Dict[str, Any]:
     """Fit a calibration table from benchmark samples.
 
-    Each sample maps ``backend``/``ops``/``batch``/``tally``/``seconds``;
-    ``sharded`` samples additionally carry ``shards`` and
-    ``codegen_seconds`` (the matching single-process work measurement the
-    parallel efficiency is computed against).  Backends or tally states
+    Each sample maps ``backend``/``ops``/``batch``/``tally``/``seconds``.
+    Backends or tally states
     with no samples keep the ``DEFAULT_CALIBRATION`` coefficients, so a
     smoke-size run still yields a complete table.
     """
@@ -262,7 +227,6 @@ def fit_calibration(
 
     table = json.loads(json.dumps(DEFAULT_CALIBRATION))  # deep copy
     table["source"] = source
-    table["min_shard_lanes"] = min_shard_lanes
     backends = table["backends"]
     for (backend, tally), rows in grouped.items():
         state = "on" if tally else "off"
@@ -270,21 +234,6 @@ def fit_calibration(
             design = [[1.0, s["ops"] * s["batch"]] for s in rows]
             c0, c_lane = _lstsq(design, [s["seconds"] for s in rows])
             backends["classical"][state] = {"c0": c0, "c_lane_ops": c_lane}
-        elif backend == "sharded":
-            effs = []
-            for s in rows:
-                shards = int(s["shards"])
-                if shards < 2 or s["seconds"] <= 0:
-                    continue
-                effs.append(s["codegen_seconds"] / (s["seconds"] * shards))
-            if effs:
-                entry = backends["sharded"][state]
-                backends["sharded"][state] = {
-                    "c0": entry["c0"],
-                    "c_shard": entry["c_shard"],
-                    # Clamp into (0, 1]: super-linear readings are timer noise.
-                    "efficiency": max(0.01, min(1.0, sum(effs) / len(effs))),
-                }
         else:
             design = [
                 [1.0, float(s["ops"]), float(s["ops"] * _words(s["batch"]))]

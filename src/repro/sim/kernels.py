@@ -38,20 +38,9 @@ Monte-Carlo repetitions), so the steady state allocates nothing but
 measurement outcome packs.  This is the rung that finally beats the
 bigint kernels at wide batches: the run-lengthening scheduler
 (:func:`repro.transform.compile.schedule_program`) feeds it longer runs,
-and ``benchmarks/BENCH_dispatch.json`` records the measured crossover.
-
-**Stacked-plane array kernels** (:func:`run_fused_arrays`,
-``kernels="arrays"``).  The literal gather → combine → scatter execution
-of superinstructions over the simulator's ``(qubits, words)`` plane
-matrix, driven by a flat step plan and integer dispatch.  Measured
-honestly, this path *loses* to the bigint kernels across the benchmark
-grid — per-step interpreter dispatch and gather copies cost more than
-CPython bigint ops, and ripple-carry circuits keep ~60% of instructions
-in runs of length ≤ 2 where fancy indexing has nothing to amortize.  It
-is kept as a working, property-tested alternative and as the
-differential baseline for the generated vector kernels above;
+and ``benchmarks/BENCH_dispatch.json`` records the measured crossover;
 ``kernels="auto"`` consults the calibrated cost model in
-:mod:`repro.sim.dispatch.cost` to pick among all three.  See
+:mod:`repro.sim.dispatch.cost` to pick between the two.  See
 ``docs/performance.md``.
 
 Layering note: this module lives in :mod:`repro.sim` but executes
@@ -71,12 +60,6 @@ __all__ = [
     "build_vector_kernel",
     "generate_vector_source",
     "run_fused_vector",
-    "run_fused_arrays",
-    "fused_x",
-    "fused_cx",
-    "fused_ccx",
-    "fused_swap",
-    "fused_cswap",
 ]
 
 
@@ -673,316 +656,4 @@ def run_fused_vector(sim, fused, collect_events: bool) -> List[Tuple[int, int]]:
         sim.engine.sample_lanes, events, noise, scratch, scr, gath,
         pack, mask_int,
     )
-    return events
-
-
-# --------------------------------------------------------------------------- #
-# stacked-plane numpy kernels (the literal gather/scatter strategy)
-
-
-def fused_x(planes: np.ndarray, ops: np.ndarray, mask: np.ndarray) -> None:
-    """k X gates: one fancy-indexed XOR over stacked planes."""
-    planes[ops[:, 0]] ^= mask
-
-
-def fused_cx(planes: np.ndarray, ops: np.ndarray, mask: np.ndarray) -> None:
-    """k CX gates: gather controls, mask, scatter-XOR into targets."""
-    planes[ops[:, 1]] ^= planes[ops[:, 0]] & mask
-
-
-def fused_ccx(planes: np.ndarray, ops: np.ndarray, mask: np.ndarray) -> None:
-    """k CCX gates: gather both control blocks, AND, scatter-XOR."""
-    planes[ops[:, 2]] ^= planes[ops[:, 0]] & planes[ops[:, 1]] & mask
-
-
-def fused_swap(planes: np.ndarray, ops: np.ndarray, mask: np.ndarray) -> None:
-    """k SWAPs (pairwise-disjoint by the write-conflict check)."""
-    a, b = ops[:, 0], ops[:, 1]
-    delta = (planes[a] ^ planes[b]) & mask
-    planes[a] ^= delta
-    planes[b] ^= delta
-
-
-def fused_cswap(planes: np.ndarray, ops: np.ndarray, mask: np.ndarray) -> None:
-    """k CSWAPs under their control planes."""
-    c, a, b = ops[:, 0], ops[:, 1], ops[:, 2]
-    delta = (planes[a] ^ planes[b]) & mask & planes[c]
-    planes[a] ^= delta
-    planes[b] ^= delta
-
-
-# Plan step codes.  A plan is a flat tuple of (code, p1, p2) steps compiled
-# once per program (cached on ``FusedProgram._arrays_plan``): branch scopes
-# become skip offsets, superinstruction operand columns become contiguous
-# index arrays, and the executor below runs the whole thing with integer
-# dispatch, preallocated scratch, and no ``& mask`` at branch depth 0 (the
-# same full-mask elision the generated bigint kernels perform).
-_A_RUN_X, _A_RUN_CX, _A_RUN_CCX, _A_RUN_SWAP, _A_RUN_CSWAP = range(5)
-_A_X, _A_CX, _A_CCX, _A_SWAP, _A_CSWAP, _A_MZ, _A_MX = range(5, 12)
-_A_COND, _A_MBU, _A_EXIT, _A_MBU_CLEAR = range(12, 16)
-_A_NOISE = 16
-
-_RUN_CODE = {}  # opcode -> plan code, filled lazily (transform import)
-
-
-def _build_arrays_plan(fused) -> Tuple[Tuple, int]:
-    """Flatten ``fused``'s scope tree into executor steps (see above)."""
-    tc = _opcodes()
-    if not _RUN_CODE:
-        _RUN_CODE.update({
-            tc.OP_X: _A_RUN_X, tc.OP_CX: _A_RUN_CX, tc.OP_CCX: _A_RUN_CCX,
-            tc.OP_SWAP: _A_RUN_SWAP, tc.OP_CSWAP: _A_RUN_CSWAP,
-        })
-    steps: List[Any] = []
-    max_run = 0
-
-    def emit(scope) -> None:
-        nonlocal max_run
-        for kind, item in scope.items:
-            if kind == "run":
-                ops = item.operands
-                max_run = max(max_run, item.count)
-                cols = tuple(
-                    np.ascontiguousarray(ops[:, i]) for i in range(ops.shape[1])
-                )
-                steps.append((_RUN_CODE[item.opcode], cols, item.count))
-            elif kind == "instr":
-                op = item[0]
-                if op == tc.OP_X:
-                    steps.append((_A_X, item[1], None))
-                elif op == tc.OP_CX:
-                    steps.append((_A_CX, item[1], item[2]))
-                elif op == tc.OP_CCX:
-                    steps.append((_A_CCX, (item[1], item[2]), item[3]))
-                elif op == tc.OP_SWAP:
-                    steps.append((_A_SWAP, item[1], item[2]))
-                elif op == tc.OP_CSWAP:
-                    steps.append((_A_CSWAP, item[1], (item[2], item[3])))
-                elif op == tc.OP_MZ:
-                    steps.append((_A_MZ, item[1], item[2]))
-                elif op == tc.OP_NOISE:
-                    steps.append((_A_NOISE, item[1], None))
-                else:  # OP_MX
-                    steps.append((_A_MX, item[1], item[2]))
-            else:  # nested scope: entry placeholder, body, exit (+ MBU clear)
-                entry = len(steps)
-                steps.append(None)
-                emit(item)
-                steps.append((_A_EXIT, None, None))
-                if item.kind == "cond":
-                    # Empty masks skip to just past the EXIT.
-                    steps[entry] = (_A_COND, item.header, (len(steps), item.sid))
-                else:
-                    # Empty masks still clear the garbage qubit, so skip
-                    # lands *on* the clear step (which runs under the outer
-                    # mask either way).
-                    clear_at = len(steps)
-                    steps.append((_A_MBU_CLEAR, item.header[0], None))
-                    steps[entry] = (_A_MBU, item.header, (clear_at, item.sid))
-
-    emit(fused.root)
-    return tuple(steps), max_run
-
-
-def run_fused_arrays(sim, fused, collect_events: bool) -> List[Tuple[int, int]]:
-    """Execute ``fused`` directly on ``sim``'s numpy plane matrices.
-
-    Runs the flat step plan compiled by :func:`_build_arrays_plan` (built
-    once per program, cached like the generated kernels): superinstructions
-    gather via ``np.take`` into preallocated scratch, combine with in-place
-    bitwise ufuncs, and scatter once; single gates operate on plane *row
-    views* with ``out=`` so the steady state allocates nothing; and depth-0
-    steps elide the ``& mask`` entirely (plane integers never carry bits at
-    or above ``batch``).  Returns the ``(scope_id, mask_int)`` tally events
-    (empty when ``collect_events`` is false).
-    """
-    plan = getattr(fused, "_arrays_plan", None)
-    if plan is None:
-        plan = _build_arrays_plan(fused)
-        fused._arrays_plan = plan
-    steps, max_run = plan
-    planes = sim.planes
-    bit_planes = sim.bit_planes
-    batch = sim.batch
-    words = sim.words
-    dtype = planes.dtype
-    sample = sim.engine.sample_lanes
-    noise = sim._noise_lanes if sim._noise_stream is not None else None
-    rows = list(planes)  # per-qubit row views: in-place ops, no gathers
-    brows = list(bit_planes)
-    valid = sim._valid
-    # Scratch is cached on the simulator and grown monotonically: reset()
-    # zeroes state in place but leaves these, so mc repetition loops pay
-    # allocation once, not per run.
-    run_needed = max(max_run, 1)
-    cached = getattr(sim, "_arrays_scratch", None)
-    if (
-        cached is None
-        or cached[0].shape[0] != words
-        or cached[1].shape[0] < run_needed
-    ):
-        if cached is not None and cached[0].shape[0] == words:
-            run_needed = max(run_needed, cached[1].shape[0])
-        tmp = np.empty(words, dtype=dtype)
-        scr = np.empty((run_needed, words), dtype=dtype)
-        gather = np.empty_like(scr)
-        cached = (tmp, scr, gather)
-        sim._arrays_scratch = cached
-    tmp, scr, gather = cached
-    take = np.take
-    events: List[Tuple[int, int]] = []
-
-    def pack(value: int) -> np.ndarray:
-        return np.frombuffer(value.to_bytes(words * 8, "little"), dtype=dtype).copy()
-
-    def mask_int(mask: np.ndarray) -> int:
-        return int.from_bytes(np.ascontiguousarray(mask).tobytes(), "little")
-
-    if collect_events:
-        events.append((0, mask_int(valid)))
-
-    mask = valid
-    stack: List[np.ndarray] = []
-    full = True
-    i = 0
-    n = len(steps)
-    while i < n:
-        code, p1, p2 = steps[i]
-        i += 1
-        if code == _A_CX:
-            if full:
-                np.bitwise_xor(rows[p2], rows[p1], out=rows[p2])
-            else:
-                np.bitwise_and(rows[p1], mask, out=tmp)
-                rows[p2] ^= tmp
-        elif code == _A_CCX:
-            np.bitwise_and(rows[p1[0]], rows[p1[1]], out=tmp)
-            if not full:
-                tmp &= mask
-            rows[p2] ^= tmp
-        elif code == _A_RUN_CX:
-            s = take(planes, p1[0], axis=0, out=scr[:p2], mode="clip")
-            if not full:
-                s &= mask
-            t = take(planes, p1[1], axis=0, out=gather[:p2], mode="clip")
-            t ^= s
-            planes[p1[1]] = t
-        elif code == _A_RUN_CCX:
-            s = take(planes, p1[0], axis=0, out=scr[:p2], mode="clip")
-            s &= take(planes, p1[1], axis=0, out=gather[:p2], mode="clip")
-            if not full:
-                s &= mask
-            t = take(planes, p1[2], axis=0, out=gather[:p2], mode="clip")
-            t ^= s
-            planes[p1[2]] = t
-        elif code == _A_X:
-            rows[p1] ^= mask
-        elif code == _A_RUN_X:
-            planes[p1[0]] ^= mask
-        elif code == _A_SWAP:
-            np.bitwise_xor(rows[p1], rows[p2], out=tmp)
-            if not full:
-                tmp &= mask
-            rows[p1] ^= tmp
-            rows[p2] ^= tmp
-        elif code == _A_RUN_SWAP:
-            s = take(planes, p1[0], axis=0, out=scr[:p2], mode="clip")
-            s ^= take(planes, p1[1], axis=0, out=gather[:p2], mode="clip")
-            if not full:
-                s &= mask
-            t = take(planes, p1[0], axis=0, out=gather[:p2], mode="clip")
-            t ^= s
-            planes[p1[0]] = t
-            t = take(planes, p1[1], axis=0, out=gather[:p2], mode="clip")
-            t ^= s
-            planes[p1[1]] = t
-        elif code == _A_CSWAP:
-            a, b = p2
-            np.bitwise_xor(rows[a], rows[b], out=tmp)
-            tmp &= rows[p1]
-            if not full:
-                tmp &= mask
-            rows[a] ^= tmp
-            rows[b] ^= tmp
-        elif code == _A_RUN_CSWAP:
-            s = take(planes, p1[1], axis=0, out=scr[:p2], mode="clip")
-            s ^= take(planes, p1[2], axis=0, out=gather[:p2], mode="clip")
-            s &= take(planes, p1[0], axis=0, out=gather[:p2], mode="clip")
-            if not full:
-                s &= mask
-            t = take(planes, p1[1], axis=0, out=gather[:p2], mode="clip")
-            t ^= s
-            planes[p1[1]] = t
-            t = take(planes, p1[2], axis=0, out=gather[:p2], mode="clip")
-            t ^= s
-            planes[p1[2]] = t
-        elif code == _A_MZ:
-            if full:
-                np.copyto(brows[p2], rows[p1])
-            else:
-                # b = b ^ ((b ^ q) & mask): masked merge without ~mask
-                np.bitwise_xor(brows[p2], rows[p1], out=tmp)
-                tmp &= mask
-                brows[p2] ^= tmp
-        elif code == _A_MX:
-            outcome = pack(sample(0.5, batch))
-            if full:
-                np.copyto(rows[p1], outcome)
-                np.copyto(brows[p2], outcome)
-            else:
-                np.bitwise_xor(rows[p1], outcome, out=tmp)
-                tmp &= mask
-                rows[p1] ^= tmp
-                np.bitwise_xor(brows[p2], outcome, out=tmp)
-                tmp &= mask
-                brows[p2] ^= tmp
-        elif code == _A_COND:
-            bit, value = p1
-            sub = mask & brows[bit]
-            if not value:
-                sub ^= mask  # mask & ~b, since (mask & b) ⊆ mask
-            if sub.any():
-                stack.append(mask)
-                mask = sub
-                full = False
-                if collect_events:
-                    events.append((p2[1], mask_int(sub)))
-            else:
-                i = p2[0]
-        elif code == _A_MBU:
-            q, bit = p1
-            outcome = pack(sample(0.5, batch))
-            if full:
-                np.copyto(brows[bit], outcome)
-                sub = outcome  # freshly packed: safe to own as the mask
-            else:
-                np.bitwise_xor(brows[bit], outcome, out=tmp)
-                tmp &= mask
-                brows[bit] ^= tmp
-                sub = mask & outcome
-            if sub.any():
-                stack.append(mask)
-                mask = sub
-                full = False
-                if collect_events:
-                    events.append((p2[1], mask_int(sub)))
-            else:
-                i = p2[0]
-        elif code == _A_NOISE:
-            # Bit-flip channel point: plan steps always exist; the draw is
-            # skipped at run time when the channel is disabled.
-            if noise is not None:
-                flips = pack(noise(batch))
-                if not full:
-                    flips &= mask
-                rows[p1] ^= flips
-        elif code == _A_EXIT:
-            mask = stack.pop()
-            full = not stack
-        else:  # _A_MBU_CLEAR: both branches leave the garbage qubit in |0>
-            if full:
-                rows[p1].fill(0)
-            else:
-                np.bitwise_and(rows[p1], mask, out=tmp)
-                rows[p1] ^= tmp
     return events

@@ -24,9 +24,7 @@ Random-mode reproducibility is guaranteed end to end:
 
 Composition: :class:`repro.noise.NoisyOutcomes` wraps any provider here and
 XORs seeded Bernoulli flips into its sampled outcomes (faulty measurements);
-:class:`~repro.sim.dispatch.SlicedOutcomes` wraps any provider to carve a
-contiguous lane window out of full-width draws (lane sharding).  Both are
-providers themselves, so they nest.
+it is a provider itself, so wrappers nest.
 """
 
 from __future__ import annotations

@@ -21,17 +21,16 @@ __all__ = [
 ]
 
 #: Fused kernel strategies ``run_compiled(kernels=...)`` executes directly:
-#: the generated straight-line bigint kernel, the stacked-plane numpy plan
-#: interpreter, and the generated straight-line numpy kernel.
-FUSED_KERNELS: Tuple[str, ...] = ("codegen", "arrays", "vector")
+#: the generated straight-line bigint kernel and the generated
+#: straight-line numpy kernel.
+FUSED_KERNELS: Tuple[str, ...] = ("codegen", "vector")
 
 #: Accepted ``kernels=`` values (``None`` means the default, ``codegen``).
 KERNEL_CHOICES: Tuple[str, ...] = ("auto",) + FUSED_KERNELS
 
-#: The full execution ladder in cost-model order: single-process rungs
-#: from slowest-per-lane to most specialized, then parallel dispatch.
-LADDER: Tuple[str, ...] = (
-    "classical", "interpretive", "scalar") + FUSED_KERNELS + ("sharded",)
+#: The full execution ladder in cost-model order, from slowest-per-lane to
+#: most specialized.
+LADDER: Tuple[str, ...] = ("classical", "interpretive", "scalar") + FUSED_KERNELS
 
 
 def validate_kernels(kernels: Optional[str]) -> None:

@@ -147,10 +147,6 @@ class CompiledProgram:
     tallies: Tuple[Tuple[str, ...], ...]
     has_tally: bool = True
     source: str = ""
-    #: ``(name, qubit_tuple)`` pairs mirroring the source circuit's register
-    #: layout — enough for a worker process to load/read register values
-    #: without holding the Circuit object (see ``repro.sim.dispatch``).
-    registers: Tuple[Tuple[str, Tuple[int, ...]], ...] = ()
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -239,9 +235,6 @@ def compile_program(
         tallies=tuple(emitter.tallies),
         has_tally=tally,
         source=circuit.name,
-        registers=tuple(
-            (name, tuple(reg.qubits)) for name, reg in circuit.registers.items()
-        ),
     )
 
 
@@ -473,7 +466,6 @@ def schedule_program(program: CompiledProgram) -> CompiledProgram:
         tallies=tuple(tallies),
         has_tally=program.has_tally,
         source=program.source,
-        registers=program.registers,
     )
 
 
@@ -546,13 +538,12 @@ class FusedProgram:
     :class:`CompiledProgram` the fusion ran on — the scalar fallback path
     executes it directly, and diagnostics compare against it.  Generated
     kernels (see :mod:`repro.sim.kernels`) are cached per program and are
-    *not* pickled: a fused program shipped to a worker process recompiles
-    its kernel on first use.
+    *not* pickled: an unpickled fused program recompiles its kernel on
+    first use.
     """
 
     __slots__ = ("num_qubits", "num_bits", "root", "scopes", "scalar",
-                 "has_tally", "source", "scheduled", "_kernels",
-                 "_arrays_plan")
+                 "has_tally", "source", "scheduled", "_kernels")
 
     def __init__(
         self,
@@ -576,18 +567,9 @@ class FusedProgram:
         #: benchmarks/diagnostics; the results are identical either way).
         self.scheduled = scheduled
         self._kernels: Dict[Tuple[str, bool], Any] = {}
-        # Lazily-built execution plan for the stacked-plane array strategy
-        # (see repro.sim.kernels); like the generated kernels, it is cached
-        # per program and not pickled.
-        self._arrays_plan: Any = None
 
     def __len__(self) -> int:
         return len(self.scalar)
-
-    @property
-    def registers(self) -> Tuple[Tuple[str, Tuple[int, ...]], ...]:
-        """Register layout metadata inherited from the compiled source."""
-        return self.scalar.registers
 
     def __repr__(self) -> str:  # pragma: no cover - display only
         stats = self.fusion_stats()

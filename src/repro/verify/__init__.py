@@ -15,7 +15,8 @@ randomized tests:
 :mod:`repro.verify.oracle`
     The equivalence oracle: runs a circuit through every execution
     strategy (classical, bitplane interpretive, compiled scalar, fused
-    codegen, fused arrays) and every registered transform pipeline with
+    codegen, fused vector, cost-model auto) and every registered transform
+    pipeline with
     scripted outcome providers, comparing final states, classical bits,
     executed-gate tallies, per-lane tallies and outcome-stream
     consumption.  Produces a coverage *matrix* over

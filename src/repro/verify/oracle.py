@@ -1,6 +1,6 @@
 """The equivalence oracle: one circuit, every backend, every transform.
 
-:func:`check_circuit` runs a circuit through the eight *execution
+:func:`check_circuit` runs a circuit through the six *execution
 strategies* of the backend ladder
 
 ======================  ====================================================
@@ -10,12 +10,8 @@ strategies* of the backend ladder
                         (the engine op-stream walk)
 ``scalar``              ``run_compiled(fused=False)`` — the flat compiled VM
 ``codegen``             ``run_compiled()`` — the fused generated kernel
-``arrays``              ``run_compiled(kernels="arrays")`` — stacked numpy
 ``vector``              ``run_compiled(kernels="vector")`` — the generated
                         straight-line numpy kernel
-``sharded``             :func:`~repro.sim.dispatch.run_sharded` — the batch
-                        split across 2 lane shards on a thread pool and
-                        merged (the parallel dispatch layer)
 ``auto``                the calibrated cost model resolves a concrete
                         strategy (:mod:`repro.sim.dispatch.cost`) and that
                         choice runs (the dispatch-decision layer)
@@ -56,14 +52,7 @@ for every (strategy, transform) cell:
 Scripted-provider alignment rules (why each comparison is sound):
 
 * varied per-lane inputs are compared across the bit-plane strategies
-  only — they consume one shared script entry per measurement *event*
-  (the ``sharded`` strategy included: each shard draws the full-width
-  event and slices its lane window, so consumption is identical);
-* ``sharded`` joins the stateful-provider comparisons only on *flat*
-  programs (:func:`~repro.sim.dispatch.program_is_flat`) — on circuits
-  with nested measurement sites the shard pool refuses stateful streams
-  by contract, so that cell is validated under the stateless
-  ``ConstantOutcomes`` providers instead;
+  only — they consume one shared script entry per measurement *event*;
 * the ``classical`` cross-check runs with every lane holding the *same*
   input, where per-lane and vectorized event streams provably coincide;
 * reference comparisons across measurement-*inserting* rewrites
@@ -114,16 +103,13 @@ __all__ = [
     "check_case",
 ]
 
-#: The eight execution strategies of the backend ladder (the fused kernel
+#: The six execution strategies of the backend ladder (the fused kernel
 #: names come from :data:`repro.sim.strategies.FUSED_KERNELS`).
 STRATEGIES = (
     "classical",
     "interpretive",
     "scalar",
-) + FUSED_KERNELS + (
-    "sharded",
-    "auto",
-)
+) + FUSED_KERNELS + ("auto",)
 
 #: The registered transform passes the oracle exercises.
 TRANSFORMS = (
@@ -135,17 +121,11 @@ TRANSFORMS = (
 )
 
 #: Strategies that run on the vectorized bit-plane state.
-BITPLANE_STRATEGIES = (
-    "interpretive",
-    "scalar",
-) + FUSED_KERNELS + (
-    "sharded",
-    "auto",
-)
+BITPLANE_STRATEGIES = ("interpretive", "scalar") + FUSED_KERNELS + ("auto",)
 
 #: Strategies that validate eagerly at compile time (must *reject* circuits
 #: outside basis-state semantics, consistently with compile_program).
-COMPILED_STRATEGIES = ("scalar",) + FUSED_KERNELS + ("sharded", "auto")
+COMPILED_STRATEGIES = ("scalar",) + FUSED_KERNELS + ("auto",)
 
 #: Matrix column for the untransformed differential run.
 BASE = "none"
@@ -233,33 +213,24 @@ def _make_script(circuit: Circuit, rng: random.Random) -> List[int]:
     return [rng.randint(0, 1) for _ in range(_event_bound(circuit) + 4)]
 
 
-def _resolve_auto(circuit: Circuit, batch: int, lane_counts, program, noise=None):
+def _resolve_auto(circuit: Circuit, batch: int, lane_counts, program):
     """The concrete strategy the cost model picks for this request.
 
     Mirrors what ``simulate(backend="auto")`` would do for a compiled
-    bit-plane run, restricted to strategies whose oracle comparisons are
-    sound here: ``sharded`` is a candidate only on flat programs (stateful
-    scripted providers cannot shard otherwise — and with noise enabled the
-    channel points must be flat too), and ``scalar`` only when no
-    per-lane counters are tracked (the flat VM has none).
+    bit-plane run over the compiled strategies; ``scalar`` is feasible only
+    when no per-lane counters are tracked (the flat VM has none).
     """
-    from ..sim.dispatch import noise_is_flat, program_is_flat
     from ..sim.dispatch.cost import default_model
 
     if program is None:
         program = compile_program(circuit, tally=True)  # may raise
     scalar = getattr(program, "scalar", program)
-    candidates = ["scalar", "codegen", "arrays", "vector"]
-    if program_is_flat(program) and (
-        noise is None or float(noise.rate) == 0.0 or noise_is_flat(program)
-    ):
-        candidates.append("sharded")
     choice = default_model().choose(
         ops=len(scalar.instructions),
         batch=batch,
         tally=True,
         lane_counts=bool(lane_counts),
-        candidates=candidates,
+        candidates=("scalar",) + FUSED_KERNELS,
     )
     return choice, program
 
@@ -276,9 +247,7 @@ def _run_bitplane(
 ) -> _RunResult:
     if strategy == "auto":
         try:
-            choice, program = _resolve_auto(
-                circuit, batch, lane_counts, program, noise=noise
-            )
+            choice, program = _resolve_auto(circuit, batch, lane_counts, program)
         except UnsupportedGateError as exc:
             return _RunResult(strategy, error=str(exc))
         prog = getattr(program, "scalar", program) if choice == "scalar" else program
@@ -288,37 +257,6 @@ def _run_bitplane(
         )
         result.strategy = strategy
         return result
-    if strategy == "sharded":
-        from ..sim.dispatch import run_sharded
-
-        track = tuple(lane_counts) or None
-        try:
-            sharded = run_sharded(
-                program if program is not None else circuit,
-                {name: list(values) for name, values in inputs.items()},
-                batch=batch,
-                shards=min(2, batch),
-                executor="thread",
-                outcomes=provider,
-                tally=True,
-                lane_counts=track,
-                noise=noise,
-            )
-        except UnsupportedGateError as exc:
-            return _RunResult(strategy, error=str(exc))
-        return _RunResult(
-            strategy,
-            registers={
-                name: tuple(sharded.get_register(name))
-                for name in circuit.registers
-            },
-            bits=tuple(
-                tuple(sharded.get_bit(b)) for b in range(circuit.num_bits)
-            ),
-            tally=sharded.tally,
-            consumed=sharded.consumed,
-            lane_tally=tuple(sharded.lane_tally().tolist()) if track else None,
-        )
     track = lane_counts if strategy != "scalar" else None
     sim = BitplaneSimulator(
         circuit, batch=batch, outcomes=provider, tally=True, lane_counts=track,
@@ -333,8 +271,6 @@ def _run_bitplane(
             sim.run_compiled(program, fused=False)
         elif strategy == "codegen":
             sim.run_compiled(program)
-        elif strategy == "arrays":
-            sim.run_compiled(program, kernels="arrays")
         elif strategy == "vector":
             sim.run_compiled(program, kernels="vector")
         else:  # pragma: no cover - guarded by STRATEGIES
@@ -462,16 +398,6 @@ class _Checker:
             self._reject_path(circuit, inputs, transform)
             return None
         fused = fuse_program(program, memoize=False)
-        from ..sim.dispatch import program_is_flat
-
-        # Stateful scripted providers shard only on flat programs (the pool
-        # refuses otherwise); the sharded cell of a non-flat circuit is
-        # validated under ConstantOutcomes below instead.  ``auto`` is
-        # always safe: its candidate set drops ``sharded`` when non-flat.
-        flat = program_is_flat(program)
-        stateful = tuple(
-            s for s in BITPLANE_STRATEGIES if flat or s != "sharded"
-        )
         script = _make_script(circuit, self._rng(f"script:{transform}"))
 
         def forced() -> ForcedOutcomes:
@@ -479,7 +405,7 @@ class _Checker:
 
         # (a) varied lanes, shared script, all bit-plane strategies
         runs: Dict[str, _RunResult] = {}
-        for strategy in stateful:
+        for strategy in BITPLANE_STRATEGIES:
             prog = program if strategy == "scalar" else fused
             runs[strategy] = _run_bitplane(
                 strategy, circuit, inputs, forced(), self.batch,
@@ -496,7 +422,7 @@ class _Checker:
             for strategy in BITPLANE_STRATEGIES:
                 self._cell(strategy, transform, "reject")
             return None
-        for strategy in stateful:
+        for strategy in BITPLANE_STRATEGIES:
             if strategy != "interpretive":
                 self._compare_runs(ref, runs[strategy], transform)
             self._cell(strategy, transform, "agree")
@@ -507,14 +433,12 @@ class _Checker:
                 strategy, circuit, inputs, RandomOutcomes(self.seed), self.batch,
                 self.lane_counts, program=program if strategy == "scalar" else fused,
             )
-            for strategy in stateful
+            for strategy in BITPLANE_STRATEGIES
         }
         rand_ref = rand_runs["interpretive"]
-        for strategy in stateful:
+        for strategy in BITPLANE_STRATEGIES:
             if strategy != "interpretive":
                 self._compare_runs(rand_ref, rand_runs[strategy], transform)
-        if not flat:
-            self._sharded_constant_cells(circuit, inputs, transform, fused)
 
         # (c) broadcast input: per-lane classical replay is sound here
         broadcast = {name: [vals[0]] * self.batch for name, vals in inputs.items()}
@@ -549,34 +473,6 @@ class _Checker:
         ):
             self._statevector_check(circuit, broadcast, transform)
         return ref
-
-    def _sharded_constant_cells(
-        self, circuit: Circuit, inputs: Dict[str, List[int]], transform: str,
-        fused,
-    ) -> None:
-        """Non-flat circuit: the shard pool refuses stateful outcome
-        streams by contract, so the sharded cell is validated against the
-        interpretive walk under both stateless ConstantOutcomes streams."""
-        status = "agree"
-        for value in (0, 1):
-            ref = _run_bitplane(
-                "interpretive", circuit, inputs, ConstantOutcomes(value),
-                self.batch, self.lane_counts,
-            )
-            got = _run_bitplane(
-                "sharded", circuit, inputs, ConstantOutcomes(value),
-                self.batch, self.lane_counts, program=fused,
-            )
-            if ref.error is not None or got.error is not None:
-                self._check(
-                    (ref.error is None) == (got.error is None), "support",
-                    transform, "sharded",
-                    "sharded and interpretive disagree on supportedness",
-                )
-                status = "reject"
-                continue
-            self._compare_runs(ref, got, transform)
-        self._cell("sharded", transform, status)
 
     def _reject_path(
         self, circuit: Circuit, inputs: Dict[str, List[int]], transform: str
@@ -664,10 +560,6 @@ class _Checker:
                 self._cell(strategy, transform, "inapplicable")
             return
         fused = fuse_program(program, memoize=False)
-        from ..sim.dispatch import program_is_flat
-
-        flat = program_is_flat(program)
-        stateful = tuple(s for s in BITPLANE_STRATEGIES if flat or s != "sharded")
         script = _make_script(circuit, self._rng("noisy-script"))
 
         # (a) rate 0 is bit-identical to no noise at all — channel config
@@ -696,7 +588,7 @@ class _Checker:
             return NoisyOutcomes(ForcedOutcomes(script), rate, seed=flip_seed)
 
         runs: Dict[str, _RunResult] = {}
-        for strategy in stateful:
+        for strategy in BITPLANE_STRATEGIES:
             prog = program if strategy == "scalar" else fused
             runs[strategy] = _run_bitplane(
                 strategy, circuit, self.inputs, provider(), self.batch,
@@ -713,7 +605,7 @@ class _Checker:
             for strategy in STRATEGIES:
                 self._cell(strategy, transform, "reject")
             return
-        for strategy in stateful:
+        for strategy in BITPLANE_STRATEGIES:
             if strategy != "interpretive":
                 self._compare_runs(ref, runs[strategy], transform)
             self._cell(strategy, transform, "agree")
@@ -727,40 +619,12 @@ class _Checker:
                 program=program if strategy == "scalar" else fused,
                 noise=noise,
             )
-            for strategy in stateful
+            for strategy in BITPLANE_STRATEGIES
         }
         rand_ref = rand_runs["interpretive"]
-        for strategy in stateful:
+        for strategy in BITPLANE_STRATEGIES:
             if strategy != "interpretive":
                 self._compare_runs(rand_ref, rand_runs[strategy], transform)
-
-        # Non-flat program: the pool refuses the stateful NoisyOutcomes
-        # wrapper, so the sharded cell validates the channel alone under
-        # stateless outcome streams (the channel itself is always flat:
-        # insert_noise_points only salts top level).
-        if not flat:
-            status = "agree"
-            for value in (0, 1):
-                c_ref = _run_bitplane(
-                    "interpretive", circuit, self.inputs,
-                    ConstantOutcomes(value), self.batch, self.lane_counts,
-                    noise=noise,
-                )
-                got = _run_bitplane(
-                    "sharded", circuit, self.inputs, ConstantOutcomes(value),
-                    self.batch, self.lane_counts, program=fused, noise=noise,
-                )
-                if c_ref.error is not None or got.error is not None:
-                    self._check(
-                        (c_ref.error is None) == (got.error is None), "support",
-                        transform, "sharded",
-                        "sharded and interpretive disagree on noisy "
-                        "supportedness",
-                    )
-                    status = "reject"
-                    continue
-                self._compare_runs(c_ref, got, transform)
-            self._cell("sharded", transform, status)
 
         # (d) classical: the scalar channel stream intentionally differs
         # from the per-lane one, so the cell is a seeded determinism replay.

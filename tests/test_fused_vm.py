@@ -8,7 +8,7 @@ stream consumption:
 
 * the scalar compiled VM (``run_compiled(fused=False)``, PR 3's loop);
 * the fused generated-kernel VM (``run_compiled()``, the default);
-* the fused stacked-plane numpy VM (``run_compiled(kernels="arrays")``).
+* the fused generated numpy VM (``run_compiled(kernels="vector")``).
 
 Circuits are randomized over gates, phase gates, Z/X measurements,
 (nested) conditionals and MBU blocks with garbage-targeting correction
@@ -49,7 +49,7 @@ def _run_all_ways(circ, outcomes_factory, lane_counts=None, tally=True):
         ("interpretive", lambda s: s.run()),
         ("scalar", lambda s: s.run_compiled(fused=False)),
         ("codegen", lambda s: s.run_compiled()),
-        ("arrays", lambda s: s.run_compiled(kernels="arrays")),
+        ("vector", lambda s: s.run_compiled(kernels="vector")),
     ]:
         if key == "scalar" and lane_counts:
             continue  # scalar VM has no per-lane counters
@@ -118,7 +118,7 @@ def test_fused_consumes_same_forced_script():
         ("interpretive", lambda s: s.run()),
         ("scalar", lambda s: s.run_compiled(fused=False)),
         ("codegen", lambda s: s.run_compiled()),
-        ("arrays", lambda s: s.run_compiled(kernels="arrays")),
+        ("vector", lambda s: s.run_compiled(kernels="vector")),
     ]:
         outcomes = ForcedOutcomes(script)
         sim = BitplaneSimulator(circ, batch=BATCH, outcomes=outcomes)
@@ -128,7 +128,7 @@ def test_fused_consumes_same_forced_script():
             assert (sim.planes == consumed["ref_planes"]).all(), key
         else:
             consumed["ref_planes"] = sim.planes
-    assert consumed["interpretive"] == consumed["scalar"] == consumed["codegen"] == consumed["arrays"]
+    assert consumed["interpretive"] == consumed["scalar"] == consumed["codegen"] == consumed["vector"]
 
 
 def test_fused_on_modadd_against_known_sums():
@@ -136,7 +136,7 @@ def test_fused_on_modadd_against_known_sums():
     built = build_modadd(5, p, "gidney", mbu=True)
     xs = [pow(3, i + 1, p) for i in range(BATCH)]
     ys = [pow(5, i + 1, p) for i in range(BATCH)]
-    for kernels in (None, "arrays"):
+    for kernels in (None, "vector"):
         sim = BitplaneSimulator(built.circuit, batch=BATCH, outcomes=RandomOutcomes(3))
         sim.set_register("x", xs)
         sim.set_register("y", ys)
@@ -480,7 +480,7 @@ class TestRunCompiledAPI:
         built = build_modadd(3, 5, "cdkpm", mbu=True)
         sim = BitplaneSimulator(built.circuit, batch=8)
         with pytest.raises(ValueError, match="fused=True"):
-            sim.run_compiled(fused=False, kernels="arrays")
+            sim.run_compiled(fused=False, kernels="vector")
 
     def test_unknown_kernel_strategy_rejected(self):
         built = build_modadd(3, 5, "cdkpm", mbu=True)
@@ -503,7 +503,7 @@ class TestRunCompiledAPI:
         built = build_modadd(3, 5, "cdkpm", mbu=True)
         with pytest.raises(ValueError, match="compiled=True"):
             simulate(built.circuit, {"x": 1, "y": 2}, backend="bitplane",
-                     kernels="arrays")
+                     kernels="vector")
         with pytest.raises(ValueError, match="compiled=True"):
             simulate(built.circuit, {"x": 1, "y": 2}, backend="bitplane",
                      fused=False)
@@ -513,7 +513,7 @@ class TestRunCompiledAPI:
 
         built = build_modadd(4, 13, "cdkpm", mbu=True)
         ref = simulate(built.circuit, {"x": 3, "y": 7}, backend="bitplane", seed=5)
-        for kernels in (None, "arrays"):
+        for kernels in (None, "vector"):
             out = simulate(
                 built.circuit, {"x": 3, "y": 7}, backend="bitplane", seed=5,
                 compiled=True, kernels=kernels,

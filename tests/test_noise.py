@@ -7,7 +7,7 @@ Three layers under test (see ``docs/noise.md``):
   annotated noise points;
 * the execution strategies — rate 0 must be bit-identical to no noise on
   every backend, and a fixed (seed, rate) must produce bit-identical
-  results across all strategies, shard counts and executor kinds;
+  results across all strategies;
 * :mod:`repro.pipeline.noise` — Monte-Carlo success/postselection rates
   whose acceptance tests use the shared false-positive-budgeted helpers
   in ``tests/stat_helpers.py`` (never ad-hoc tolerances).
@@ -26,11 +26,10 @@ from repro.sim import (
     RandomOutcomes,
     run_bitplane,
 )
-from repro.sim.dispatch import ShardPool, run_sharded
 from tests.stat_helpers import assert_binomial_rate
 
-STRATEGIES = ("interpretive", "scalar", "codegen", "arrays")
-SHARD_COUNTS = (1, 2, 3, 7)
+STRATEGIES = ("interpretive", "scalar", "codegen", "vector")
+PARTIAL_WORD_BATCHES = (1, 65)
 
 
 def _mbu_circuit(n=4, p=13):
@@ -43,16 +42,7 @@ def _snapshot(sim, circuit):
     return regs, bits
 
 
-def _run_strategy(strategy, circuit, inputs, provider, batch, noise=None,
-                  shards=2, executor="thread"):
-    if strategy == "sharded":
-        res = run_sharded(
-            circuit, inputs, batch=batch, shards=shards, executor=executor,
-            outcomes=provider, noise=noise,
-        )
-        regs = {name: tuple(res.get_register(name)) for name in circuit.registers}
-        bits = tuple(tuple(res.get_bit(b)) for b in range(circuit.num_bits))
-        return regs, bits
+def _run_strategy(strategy, circuit, inputs, provider, batch, noise=None):
     sim = BitplaneSimulator(circuit, batch=batch, outcomes=provider, noise=noise)
     for name, values in inputs.items():
         sim.set_register(name, values)
@@ -62,8 +52,8 @@ def _run_strategy(strategy, circuit, inputs, provider, batch, noise=None,
         sim.run_compiled(fused=False)
     elif strategy == "codegen":
         sim.run_compiled()
-    elif strategy == "arrays":
-        sim.run_compiled(kernels="arrays")
+    elif strategy == "vector":
+        sim.run_compiled(kernels="vector")
     else:  # pragma: no cover - test bug
         raise ValueError(strategy)
     return _snapshot(sim, circuit)
@@ -105,14 +95,6 @@ class TestNoisyOutcomes:
         noisy.reset()
         assert [noisy.sample_lanes(0.5, 16) for _ in range(4)] == first
 
-    def test_clone_is_fresh_and_identical(self):
-        noisy = NoisyOutcomes(RandomOutcomes(11), 0.2, seed=3)
-        noisy.sample_lanes(0.5, 32)  # consume some stream first
-        clone = noisy.clone()
-        fresh = NoisyOutcomes(RandomOutcomes(11), 0.2, seed=3)
-        assert [clone.sample_lanes(0.5, 32) for _ in range(8)] == \
-               [fresh.sample_lanes(0.5, 32) for _ in range(8)]
-
     def test_mbu_coin_flips_change_bits_not_registers(self):
         """Flipping an MBU coin lands the other correction branch: the
         measurement record differs but the corrected registers do not —
@@ -133,7 +115,7 @@ class TestNoisyOutcomes:
 
 class TestRateZeroIdentity:
     """The semantics-preserving contract: a rate-0 channel is a no-op on
-    every execution strategy and every shard count."""
+    every execution strategy."""
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_strategies(self, strategy):
@@ -145,21 +127,22 @@ class TestRateZeroIdentity:
                              noise=NoiseConfig(rate=0.0, seed=123))
         assert zero == clean
 
-    @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    def test_shard_counts(self, shards):
+    @pytest.mark.parametrize("batch", PARTIAL_WORD_BATCHES)
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_partial_word_batches(self, strategy, batch):
+        # a single lane and a batch ending one lane into its second word:
+        # the lane-mask tail must keep the rate-0 channel a no-op
         circuit = _mbu_circuit()
-        inputs = {"x": 5, "y": 9}
-        clean = _run_strategy("interpretive", circuit, inputs,
-                              RandomOutcomes(4), 32)
-        zero = _run_strategy("sharded", circuit, inputs, RandomOutcomes(4), 32,
-                             noise=NoiseConfig(rate=0.0, seed=123),
-                             shards=shards)
+        inputs = {"x": [i % 13 for i in range(batch)], "y": 9}
+        clean = _run_strategy(strategy, circuit, inputs,
+                              RandomOutcomes(4), batch)
+        zero = _run_strategy(strategy, circuit, inputs, RandomOutcomes(4),
+                             batch, noise=NoiseConfig(rate=0.0, seed=123))
         assert zero == clean
 
 
 class TestSeededNoiseDeterminism:
-    """Fixed (seed, rate): bit-identical results across every strategy,
-    shard count and executor kind."""
+    """Fixed (seed, rate): bit-identical results across every strategy."""
 
     def test_across_strategies(self):
         circuit = _mbu_circuit()
@@ -178,37 +161,40 @@ class TestSeededNoiseDeterminism:
                               RandomOutcomes(4), 32)
         assert reference != clean
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    def test_across_shards_and_executors(self, shards, executor):
+    @pytest.mark.parametrize("batch", PARTIAL_WORD_BATCHES + (130,))
+    def test_across_strategies_at_batch(self, batch):
         circuit = _mbu_circuit()
-        inputs = {"x": 5, "y": 9}
+        inputs = {"x": [i % 13 for i in range(batch)],
+                  "y": [(i * 5) % 13 for i in range(batch)]}
         noise = NoiseConfig(rate=0.2, seed=77)
         reference = _run_strategy("interpretive", circuit, inputs,
-                                  RandomOutcomes(4), 32, noise=noise)
-        sharded = _run_strategy("sharded", circuit, inputs, RandomOutcomes(4),
-                                32, noise=noise, shards=shards,
-                                executor=executor)
-        assert sharded == reference
+                                  RandomOutcomes(4), batch, noise=noise)
+        for strategy in STRATEGIES[1:]:
+            assert _run_strategy(strategy, circuit, inputs, RandomOutcomes(4),
+                                 batch, noise=noise) == reference, strategy
+
+    @pytest.mark.parametrize("strategy", STRATEGIES[1:])
+    def test_nested_noise_points(self, strategy):
+        """A noise point inside a measurement-controlled branch draws only
+        when some lane takes the branch; every strategy must agree on when,
+        or the channel stream desynchronizes."""
+        circ = Circuit("nested-noise")
+        d = circ.add_register("d", 3)
+        bit = circ.measure(d[0])
+        circ.cond(bit, [Gate("x", (d[1],)), Annotation("noise", str(d[1]))])
+        circ.append(Gate("cx", (d[1], d[2])))
+        circ.append(Annotation("noise", str(d[2])))
+        inputs = {"d": [i % 8 for i in range(40)]}
+        noise = NoiseConfig(rate=0.3, seed=11)
+        reference = _run_strategy("interpretive", circ, inputs,
+                                  RandomOutcomes(2), 40, noise=noise)
+        assert reference != _run_strategy("interpretive", circ, inputs,
+                                          RandomOutcomes(2), 40)
+        assert _run_strategy(strategy, circ, inputs, RandomOutcomes(2), 40,
+                             noise=noise) == reference
 
 
 class TestChannelGuards:
-    def test_nested_noise_points_refuse_sharding(self):
-        circ = Circuit("nested-noise")
-        d = circ.add_register("d", 2)
-        bit = circ.measure(d[0])
-        circ.cond(bit, [Gate("x", (d[1],)), Annotation("noise", str(d[1]))])
-        with pytest.raises(ValueError, match="noise points nested"):
-            with ShardPool(circ, batch=8, shards=2, executor="thread",
-                           noise=NoiseConfig(rate=0.1, seed=1)) as pool:
-                pool.run({})
-
-    def test_reset_noise_provider_needs_enabled_channel(self):
-        circuit = _mbu_circuit()
-        sim = BitplaneSimulator(circuit, batch=8)
-        with pytest.raises(ValueError, match="noise"):
-            sim.reset(RandomOutcomes(0), noise_provider=RandomOutcomes(1))
-
     def test_insert_noise_points_is_idempotent_target(self):
         circuit = build_modadd(3, 7, "cdkpm", mbu=True).circuit
         assert not noise_points(circuit)
@@ -217,37 +203,15 @@ class TestChannelGuards:
         assert points  # one per top-level measurement/MBU block
         assert len(points) == len(noise_points(insert_noise_points(circuit)))
 
-
-class TestShardedEdgeCases:
-    """SlicedOutcomes / shard-layout corner cases."""
-
-    def test_more_shards_than_lanes_rejected(self):
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_outcome_exhaustion_propagates(self, strategy):
+        # an exhausted scripted provider is a loud error on every strategy,
+        # never a silently reused or defaulted outcome
         circuit = _mbu_circuit()
-        with pytest.raises(ValueError, match="cannot split"):
-            run_sharded(circuit, {"x": 1, "y": 2}, batch=4, shards=7,
-                        executor="thread", outcomes=RandomOutcomes(0))
-
-    def test_batch_one_degenerate_shard(self):
-        circuit = _mbu_circuit()
-        single = run_sharded(circuit, {"x": 5, "y": 9}, batch=1, shards=1,
-                             outcomes=RandomOutcomes(3),
-                             noise=NoiseConfig(rate=0.2, seed=5))
-        sim = BitplaneSimulator(circuit, batch=1, outcomes=RandomOutcomes(3),
-                                noise=NoiseConfig(rate=0.2, seed=5))
-        for name, value in {"x": 5, "y": 9}.items():
-            sim.set_register(name, value)
-        sim.run_compiled()
-        assert {n: tuple(single.get_register(n)) for n in circuit.registers} \
-            == {n: tuple(sim.get_register(n)) for n in circuit.registers}
-
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_provider_exhaustion_propagates_from_workers(self, executor):
-        circuit = _mbu_circuit()
-        with pytest.raises(IndexError, match="exhausted") as excinfo:
-            run_sharded(circuit, {"x": 5, "y": 9}, batch=32, shards=2,
-                        executor=executor, outcomes=ForcedOutcomes([]))
-        # the traceback names the provider, so the failure is debuggable
-        assert "exhausted" in str(excinfo.value)
+        with pytest.raises(IndexError, match="exhausted"):
+            _run_strategy(strategy, circuit, {"x": 5, "y": 9},
+                          ForcedOutcomes([]), 32,
+                          noise=NoiseConfig(rate=0.2, seed=5))
 
 
 @pytest.mark.statistical

@@ -26,7 +26,7 @@ from repro.transform import compile_program, fuse_program, schedule_program
 from repro.transform.compile import _RUN_READS, _RUN_WRITES
 from repro.verify.generate import random_case, random_mixed_circuit, seed_sequence
 
-KERNELS = (None, "arrays", "vector")  # None = the bigint codegen default
+KERNELS = (None, "vector", "auto")  # None = codegen; "auto" = cost-model pick
 
 
 def _touch(instr):

@@ -1,13 +1,17 @@
 """Cross-backend property tests: bitplane lanes vs looped classical runs vs
 statevector, on MBU modular-adder circuits under a shared ForcedOutcomes
-script — plus identical executed-gate tallies across all three backends.
+script — plus identical executed-gate tallies across all three backends,
+and lane independence: splitting a batch into windows run separately
+reproduces the full-width run lane for lane on every bitplane strategy.
 
 Per-lane inputs come from the shared
 :func:`repro.verify.generate.random_lane_inputs` helper (domain-bounded to
 [0, p) so the hand-built MBU uncomputations stay algebraically valid)."""
 
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,10 +20,16 @@ from repro.modular import build_modadd
 from repro.sim import (
     BitplaneSimulator,
     ClassicalSimulator,
+    ConstantOutcomes,
     ForcedOutcomes,
     run_statevector,
 )
-from repro.verify.generate import random_lane_inputs
+from repro.verify.generate import (
+    GeneratorConfig,
+    random_case,
+    random_lane_inputs,
+    seed_sequence,
+)
 
 # (n, p) small enough for the statevector limit across all three families.
 _CASES = [(2, 3), (3, 5), (3, 7)]
@@ -104,3 +114,85 @@ def test_three_backends_agree_with_identical_tallies(case, family, script, x, y)
     assert cl.outcomes.consumed == sv.outcomes.consumed == bp.outcomes.consumed
     # identical per-lane executed-gate tallies across all three backends
     assert cl.tally == sv.tally == bp.tally
+
+
+# --------------------------------------------------------------------------- #
+# lane independence: any split of the batch into windows is the same run
+
+_WINDOW_RUNNERS = {
+    "interpretive": lambda sim: sim.run(),
+    "scalar": lambda sim: sim.run_compiled(fused=False),
+    "codegen": lambda sim: sim.run_compiled(),
+    "vector": lambda sim: sim.run_compiled(kernels="vector"),
+}
+_WINDOW_GATES = ("x", "cx", "ccx")
+_WINDOW_BATCH = 70  # two uint64 words, so windows cut across a word boundary
+
+
+def _windows(batch, count):
+    edges = [batch * i // count for i in range(count + 1)]
+    return list(zip(edges, edges[1:]))
+
+
+def _window_run(case, strategy, lo, hi, outcome):
+    """Run lanes ``[lo, hi)`` of ``case`` alone, as a batch of their own.
+
+    ``ConstantOutcomes`` answers every draw the same way for every lane, so
+    a window sees exactly the outcomes its lanes see inside the full batch;
+    per-lane differences come only from the data (Z-measurement-controlled
+    branches over per-lane inputs)."""
+    track = None if strategy == "scalar" else _WINDOW_GATES
+    sim = BitplaneSimulator(
+        case.circuit, batch=hi - lo, outcomes=ConstantOutcomes(outcome),
+        lane_counts=track,
+    )
+    for name, values in case.inputs.items():
+        sim.set_register(name, values[lo:hi])
+    _WINDOW_RUNNERS[strategy](sim)
+    registers = {name: sim.get_register(name) for name in case.circuit.registers}
+    bits = [sim.get_bit(b) for b in range(case.circuit.num_bits)]
+    lanes = sim.lane_tally() if track else None
+    return registers, bits, lanes, sim.tally
+
+
+def _window_cases():
+    config = GeneratorConfig(batch=_WINDOW_BATCH)
+    return [random_case(seed, config) for seed in seed_sequence(3)]
+
+
+@pytest.mark.parametrize("windows", [1, 2, 3, 7])
+@pytest.mark.parametrize("strategy", sorted(_WINDOW_RUNNERS))
+def test_lane_windows_match_full_batch(strategy, windows):
+    """Lanes never interact: running each window of the batch separately
+    reproduces the full-width run lane for lane — registers, measurement
+    bits and per-lane executed-gate counts."""
+    for case in _window_cases():
+        for outcome in (0, 1):
+            full = _window_run(case, strategy, 0, _WINDOW_BATCH, outcome)
+            parts = [
+                _window_run(case, strategy, lo, hi, outcome)
+                for lo, hi in _windows(_WINDOW_BATCH, windows)
+            ]
+            for name in case.circuit.registers:
+                assert [v for part in parts for v in part[0][name]] == full[0][name]
+            for b in range(case.circuit.num_bits):
+                assert [v for part in parts for v in part[1][b]] == full[1][b]
+            if full[2] is not None:
+                assert (np.concatenate([part[2] for part in parts]) == full[2]).all()
+
+
+@pytest.mark.parametrize("strategy", sorted(_WINDOW_RUNNERS))
+def test_window_tallies_merge_exactly(strategy):
+    """The engine tally is the per-lane average: weighting each window's
+    tally by its lane count recovers the full-batch tally as an exact
+    Fraction, even when data-dependent branches make windows differ."""
+    for case in _window_cases():
+        full = _window_run(case, strategy, 0, _WINDOW_BATCH, 1)[3]
+        merged = {}
+        for lo, hi in _windows(_WINDOW_BATCH, 3):
+            part = _window_run(case, strategy, lo, hi, 1)[3]
+            for name, value in part.counts.items():
+                weight = Fraction(hi - lo, _WINDOW_BATCH)
+                merged[name] = merged.get(name, Fraction(0)) + value * weight
+        assert {k: v for k, v in merged.items() if v} == \
+            {k: v for k, v in full.counts.items() if v}

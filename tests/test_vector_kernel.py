@@ -5,10 +5,9 @@ straight-line Python function over the simulator's packed ``(rows,
 words)`` uint64 plane matrices — no per-instruction dispatch, in-place
 ufuncs into preallocated scratch, depth-0 full-mask elision, swaps as row
 renaming.  It must be observationally identical to the bigint codegen VM
-and the legacy arrays interpreter on everything the basis-state semantics
-admit, reuse its scratch buffers across ``reset()`` (the Monte-Carlo
-repetition pattern), and share the single kernels-name validation with
-every other entry point.
+on everything the basis-state semantics admit, reuse its scratch buffers
+across ``reset()`` (the Monte-Carlo repetition pattern), and share the
+single kernels-name validation with every other entry point.
 """
 
 import random
@@ -23,7 +22,6 @@ from repro.sim import (
     ForcedOutcomes,
     KERNEL_CHOICES,
     RandomOutcomes,
-    run_sharded,
     simulate,
     validate_kernels,
 )
@@ -32,7 +30,7 @@ from repro.transform import compile_program, fuse_program
 from repro.verify.generate import random_mixed_circuit, seed_sequence
 
 BATCH = 96
-FUSED = ("codegen", "arrays", "vector")
+FUSED = ("codegen", "vector")
 
 
 def _run_all(circ, outcomes_factory, lane_counts=None, tally=True):
@@ -40,7 +38,6 @@ def _run_all(circ, outcomes_factory, lane_counts=None, tally=True):
     for key, runner in [
         ("interpretive", lambda s: s.run()),
         ("codegen", lambda s: s.run_compiled()),
-        ("arrays", lambda s: s.run_compiled(kernels="arrays")),
         ("vector", lambda s: s.run_compiled(kernels="vector")),
     ]:
         sim = BitplaneSimulator(
@@ -88,7 +85,6 @@ def test_vector_consumes_same_forced_script():
     consumed, planes = {}, {}
     for key, runner in [
         ("codegen", lambda s: s.run_compiled()),
-        ("arrays", lambda s: s.run_compiled(kernels="arrays")),
         ("vector", lambda s: s.run_compiled(kernels="vector")),
     ]:
         outcomes = ForcedOutcomes(list(script))
@@ -96,7 +92,7 @@ def test_vector_consumes_same_forced_script():
         runner(sim)
         consumed[key] = outcomes.consumed
         planes[key] = sim.planes
-    assert consumed["vector"] == consumed["codegen"] == consumed["arrays"]
+    assert consumed["vector"] == consumed["codegen"]
     assert (planes["vector"] == planes["codegen"]).all()
 
 
@@ -127,41 +123,33 @@ def test_vector_on_modadd_against_known_sums(schedule):
 
 
 # --------------------------------------------------------------------------- #
-# noise determinism across the kernel x shard matrix
+# noise determinism across the fused kernels
 
 
-def _noise_snapshot(circuit, inputs, kernels, shards, *, batch=32):
+def _noise_snapshot(circuit, inputs, kernels, *, batch=32):
     noise = NoiseConfig(rate=0.2, seed=77)
-    result = run_sharded(
-        circuit, inputs, batch=batch, shards=shards, executor="thread",
-        outcomes=RandomOutcomes(4), noise=noise, kernels=kernels,
-    )
-    regs = {name: tuple(result.get_register(name)) for name in circuit.registers}
-    bits = tuple(tuple(result.get_bit(b)) for b in range(circuit.num_bits))
+    sim = BitplaneSimulator(circuit, batch=batch, outcomes=RandomOutcomes(4), noise=noise)
+    for name, values in inputs.items():
+        sim.set_register(name, values)
+    if kernels is None:
+        sim.run()
+    else:
+        sim.run_compiled(kernels=kernels)
+    regs = {name: tuple(sim.get_register(name)) for name in circuit.registers}
+    bits = tuple(tuple(sim.get_bit(b)) for b in range(circuit.num_bits))
     return regs, bits
 
 
-def test_noise_bit_identical_across_kernels_and_shards():
+def test_noise_bit_identical_across_kernels():
     """A fixed (rate, seed) noise channel draws the same per-lane flips no
-    matter which fused kernel executes or how the lanes are sharded — the
-    whole point of the counter-based noise stream."""
+    matter which fused kernel executes — the whole point of the seeded
+    channel stream."""
     circuit = insert_noise_points(build_modadd(4, 13, "cdkpm", mbu=True).circuit)
     inputs = {"x": [i % 13 for i in range(32)], "y": [(i * 5) % 13 for i in range(32)]}
 
-    noise = NoiseConfig(rate=0.2, seed=77)
-    sim = BitplaneSimulator(circuit, batch=32, outcomes=RandomOutcomes(4), noise=noise)
-    for name, values in inputs.items():
-        sim.set_register(name, values)
-    sim.run_compiled()
-    reference = (
-        {name: tuple(sim.get_register(name)) for name in circuit.registers},
-        tuple(tuple(sim.get_bit(b)) for b in range(circuit.num_bits)),
-    )
-
+    reference = _noise_snapshot(circuit, inputs, None)
     for kernels in FUSED:
-        for shards in (1, 2, 3, 7):
-            snap = _noise_snapshot(circuit, inputs, kernels, shards)
-            assert snap == reference, (kernels, shards)
+        assert _noise_snapshot(circuit, inputs, kernels) == reference, kernels
 
 
 # --------------------------------------------------------------------------- #
@@ -179,19 +167,6 @@ def test_vector_scratch_survives_reset():
     second = sim._vector_scratch
     for a, b in zip(first, second):
         assert a is b  # same preallocated buffers, no churn per rep
-
-
-def test_arrays_scratch_survives_reset():
-    built = build_modadd(4, 13, "cdkpm", mbu=True)
-    sim = BitplaneSimulator(built.circuit, batch=256, outcomes=RandomOutcomes(1))
-    sim.run_compiled(kernels="arrays")
-    first = sim._arrays_scratch
-    assert first is not None
-    sim.reset(RandomOutcomes(2))
-    sim.run_compiled(kernels="arrays")
-    second = sim._arrays_scratch
-    for a, b in zip(first, second):
-        assert a is b
 
 
 # --------------------------------------------------------------------------- #

@@ -4,7 +4,7 @@ import pytest
 
 from repro.transform.base import PASSES
 from repro.verify.cli import main as verify_main
-from repro.verify.fuzz import MATRIX_CELLS, run_fuzz
+from repro.verify.fuzz import COLUMNS, MATRIX_CELLS, run_fuzz
 from repro.verify.generate import FLAVORS
 from repro.verify.oracle import STRATEGIES
 
@@ -19,6 +19,11 @@ class TestRunFuzz:
         assert a.checks == b.checks
 
     def test_full_matrix_coverage_within_one_flavor_rotation(self):
+        # the six-rung matrix: the strategy ladder plus the cost-model pick
+        assert STRATEGIES == (
+            "classical", "interpretive", "scalar", "codegen", "vector", "auto",
+        )
+        assert len(MATRIX_CELLS) == 6 * len(COLUMNS)
         stats = run_fuzz(iterations=len(FLAVORS), seed=0)
         assert stats.ok
         assert set(stats.covered_cells()) == set(MATRIX_CELLS)

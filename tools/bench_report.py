@@ -7,7 +7,7 @@ a single markdown table plus the headline *performance trajectory* — the
 chain of backend-ladder speedups the repo has accumulated PR over PR:
 
     classical -> bitplane -> compiled -> fused -> vectorized
-              -> auto-dispatched/sharded
+              -> auto-dispatched
 
 Alongside the markdown it always rewrites
 ``benchmarks/BENCH_report.json`` — the same headline entries and the full
@@ -38,7 +38,7 @@ HEADLINE = {
     "bitplane_vs_looped_classical": ("speedup_per_input", "bitplane vs looped classical (per input)"),
     "compiled_vs_interpretive_bitplane": ("speedup", "compiled VM vs interpretive walk"),
     "fused_vs_scalar_compiled_bitplane": ("speedup_vs_scalar", "fused kernels vs scalar compiled VM"),
-    "dispatch_ladder_and_auto_selection": ("tally_on.vector_speedup_vs_arrays", "vector kernel vs legacy arrays interpreter"),
+    "dispatch_ladder_and_auto_selection": ("tally_on.vector_speedup_vs_codegen", "vector kernel vs fused codegen"),
 }
 
 #: The tool's own machine-readable output (excluded from the input glob).
@@ -155,8 +155,8 @@ def trajectory_lines(artifacts: dict) -> list:
 
 
 def dispatch_lines(artifacts: dict) -> list:
-    """Per-rung ladder trajectory + auto-dispatch and parallel efficiency
-    from ``BENCH_dispatch.json`` (absent until its bench has run)."""
+    """Per-rung ladder trajectory + auto-dispatch from
+    ``BENCH_dispatch.json`` (absent until its bench has run)."""
     payload = next(
         (p for p in artifacts.values()
          if p.get("benchmark") == "dispatch_ladder_and_auto_selection"),
@@ -167,20 +167,18 @@ def dispatch_lines(artifacts: dict) -> list:
     lines = ["## Dispatch ladder (per-rung trajectory)", ""]
     smoke = " **[smoke run — reduced sizes]**" if payload.get("smoke") else ""
     lines.append(
-        f"Cores: {payload.get('cores', '?')} — auto-pick bar: "
-        f"{payload.get('auto_factor_bar', '?')}x of measured best.{smoke}"
+        f"Auto-pick bar: {payload.get('auto_factor_bar', '?')}x of measured "
+        f"best.{smoke}"
     )
     lines += [
         "",
-        "| case | interp -> scalar | scalar -> codegen | codegen -> arrays "
-        "| arrays -> vector | auto picked (factor) | sharded speedup "
-        "| parallel efficiency |",
-        "|---|---|---|---|---|---|---|---|",
+        "| case | interp -> scalar | scalar -> codegen | codegen -> vector "
+        "| auto picked (factor) |",
+        "|---|---|---|---|---|",
     ]
     for case, point in payload.get("results", {}).items():
         on = point.get("tally_on") or {}
         secs = on.get("seconds") or {}
-        mc = point.get("mc_workload") or {}
 
         def rung(a, b):
             if not (secs.get(a) and secs.get(b)):
@@ -189,11 +187,8 @@ def dispatch_lines(artifacts: dict) -> list:
 
         lines.append(
             f"| {case} | {rung('interpretive', 'scalar')} "
-            f"| {rung('scalar', 'codegen')} | {rung('codegen', 'arrays')} "
-            f"| {rung('arrays', 'vector')} "
-            f"| {on.get('auto_choice', '-')} ({fmt(on.get('auto_factor', 0))}x) "
-            f"| {fmt(mc.get('sharded_speedup', 0))}x "
-            f"| {fmt(mc.get('parallel_efficiency', 0))} |"
+            f"| {rung('scalar', 'codegen')} | {rung('codegen', 'vector')} "
+            f"| {on.get('auto_choice', '-')} ({fmt(on.get('auto_factor', 0))}x) |"
         )
     return lines
 
