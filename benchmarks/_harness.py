@@ -8,8 +8,8 @@ a machine-readable ``BENCH_*.json`` artifact next to the module.  This
 module owns those pieces so the recipes stay identical across benches.
 
 Full-entropy inputs matter: CPython's adaptive bigints make all-zero
-planes nearly free for the scalar/codegen strategies while the numpy
-arrays path always processes full rows — benchmarks on zero registers
+planes nearly free for the codegen strategy while the numpy vector
+kernel always processes full rows — benchmarks on zero registers
 flatter the bigint rungs and are not honest comparisons.
 """
 

@@ -1,18 +1,16 @@
 """The full backend ladder per grid point, plus the auto-dispatch check.
 
 Written to ``benchmarks/BENCH_dispatch.json``: the MBU modular adder
-through every bit-plane strategy (interpretive walk, scalar compiled VM,
-fused codegen, generated numpy vector kernel) over an (n × batch × tally)
-grid with full-entropy register inputs, timing the execution step alone.
+through every bit-plane strategy (interpretive walk, fused codegen,
+generated numpy vector kernel) over an (n × batch × tally) grid with
+full-entropy register inputs, timing the execution step alone.
 This is the grid the cost model behind ``backend="auto"`` is calibrated
 on: run with ``REPRO_DISPATCH_RECALIBRATE=1`` to refit and rewrite the
 checked-in ``src/repro/sim/dispatch/calibration.json`` (the rewrite is
 followed by a schema round-trip check: the file on disk must reparse to
-the exact nested key structure that was fitted).  Each point also records a
-``schedule`` block — run-length histograms before/after the
-run-lengthening scheduler and the scheduled vector time — plus the
-per-state ``vector_speedup_vs_codegen`` headline metric (above 1 where
-the numpy kernel wins).
+the exact nested key structure that was fitted).  Each point also records
+the per-state ``vector_speedup_vs_codegen`` headline metric (above 1
+where the numpy kernel wins).
 
 Floor asserted by ``test_report_dispatch``: the model's pick is within
 ``AUTO_FACTOR`` of the best *measured* strategy on every grid point (the
@@ -96,14 +94,11 @@ def test_dispatch_grid(benchmark, n, batch):
 
         seconds = {
             "interpretive": best_of(mk, lambda s: s.run(), rounds=ROUNDS),
-            "scalar": best_of(
-                mk, lambda s: s.run_compiled(prog, fused=False), rounds=ROUNDS
-            ),
             "codegen": best_of(
                 mk, lambda s: s.run_compiled(fused), rounds=ROUNDS
             ),
             "vector": best_of(
-                mk, lambda s: s.run_compiled(fused, kernels="vector"),
+                mk, lambda s: s.run_compiled(fused, strategy="vector"),
                 rounds=ROUNDS,
             ),
         }
@@ -118,25 +113,6 @@ def test_dispatch_grid(benchmark, n, batch):
              "seconds": secs}
             for name, secs in seconds.items()
         )
-
-    # Scheduler level: how much the run-lengthening scheduler widens the
-    # vectorizable runs, and what that buys the vector kernel end to end.
-    prog0, fused0 = programs[False]
-    fused_sched = fuse_program(prog0, schedule=True)
-    fused_sched.kernel(events=False, kind="vector")
-    sched_seconds = best_of(
-        lambda: prepared(built.circuit, batch, xs, ys, tally=False),
-        lambda s: s.run_compiled(fused_sched, kernels="vector"),
-        rounds=ROUNDS,
-    )
-    vec_seconds = point["tally_off"]["seconds"]["vector"]
-    point["schedule"] = {
-        "run_length_histogram": fused0.run_length_histogram(),
-        "run_length_histogram_scheduled": fused_sched.run_length_histogram(),
-        "vector_seconds": vec_seconds,
-        "vector_scheduled_seconds": sched_seconds,
-        "scheduled_speedup": vec_seconds / sched_seconds,
-    }
     _RESULTS[f"n{n}_B{batch}"] = point
 
 
@@ -209,12 +185,9 @@ def test_report_dispatch(benchmark, capsys):
             + f"  auto->{point['tally_on']['auto_choice']}"
             f" ({point['tally_on']['auto_factor']:.2f}x of best)"
         )
-        sched = point["schedule"]
         lines.append(
             f"  {'':11s} vector vs codegen="
-            f"{point['tally_on']['vector_speedup_vs_codegen']:.2f}x  "
-            f"scheduled vector={sched['vector_scheduled_seconds']*1e3:8.2f}ms"
-            f" ({sched['scheduled_speedup']:.2f}x of unscheduled)"
+            f"{point['tally_on']['vector_speedup_vs_codegen']:.2f}x"
         )
     lines.append(f"  -> {out_path.name}")
     print_once(benchmark, capsys, "\n".join(lines))

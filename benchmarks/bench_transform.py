@@ -2,10 +2,11 @@
 
 Measures the wall-clock cost of running the MBU modular adder through
 ``BitplaneSimulator.run()`` (the interpretive ``ExecutionEngine`` walk)
-against ``run_compiled()`` (the ``repro.transform.compile_program`` linear
-VM) at n = 64, 256 and batch = 1024, 4096, and writes the machine-readable
-``benchmarks/BENCH_transform.json``.  One-off compile time is reported
-separately — a sweep compiles once and runs many batches.
+against ``run_compiled()`` (a ``repro.transform.compile_program`` program
+through the default ``codegen`` kernel) at n = 64, 256 and batch = 1024,
+4096, and writes the machine-readable ``benchmarks/BENCH_transform.json``.
+One-off compile time is reported separately — a sweep compiles once and
+runs many batches.
 
 The acceptance bar for the compiled path is a >= 2x speedup over the
 interpretive walk at n = 64, batch = 4096 (tally off);
@@ -24,7 +25,7 @@ from _harness import (
     write_artifact,
 )
 from repro.modular import build_modadd
-from repro.transform import compile_program
+from repro.transform import compile_program, fuse_program
 
 CASES = [(64, 1024), (64, 4096), (256, 4096)]
 
@@ -40,14 +41,16 @@ def test_transform_throughput(benchmark, n, batch):
     t0 = time.perf_counter()
     program = compile_program(built.circuit, tally=False)
     compile_seconds = time.perf_counter() - t0
-    program_tally = compile_program(built.circuit, tally=True)
+    # Fusion and kernel generation are one-off work too: keep them out of
+    # the timed runs.
+    fused = fuse_program(program)
+    fused.kernel(events=False)
+    fused_tally = fuse_program(compile_program(built.circuit, tally=True))
+    fused_tally.kernel(events=True)
 
-    # fused=False throughout: this benchmark pins the *scalar* compiled VM
-    # against the interpretive walk (PR 3's metric); the fused kernels have
-    # their own benchmark (bench_fused.py -> BENCH_fused.json).
     def run_compiled():
         sim = prepared(built.circuit, batch, xs, ys)
-        sim.run_compiled(program, fused=False)
+        sim.run_compiled(fused)
         return sim
 
     sim = benchmark(run_compiled)
@@ -60,11 +63,9 @@ def test_transform_throughput(benchmark, n, batch):
         )
 
     interp = best(lambda sim: sim.run())
-    compiled = best(lambda sim: sim.run_compiled(program, fused=False))
+    compiled = best(lambda sim: sim.run_compiled(fused))
     interp_tally = best(lambda sim: sim.run(), tally=True)
-    compiled_tally = best(
-        lambda sim: sim.run_compiled(program_tally, fused=False), tally=True
-    )
+    compiled_tally = best(lambda sim: sim.run_compiled(fused_tally), tally=True)
 
     _RESULTS[f"n{n}_B{batch}"] = {
         "n": n,

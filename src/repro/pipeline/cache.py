@@ -328,15 +328,14 @@ class CircuitCache:
         without basis-state semantics, like the builders themselves would
         at simulation time.
 
-        ``schedule`` is part of the memo key: the run-lengthening
-        scheduler (:func:`~repro.transform.compile.schedule_program`)
-        produces a differently-grouped (bit-identical-result) program, so
-        scheduled and unscheduled requests must never alias — keying by
-        ``(spec, tally)`` alone silently pinned whichever variant was
-        compiled first and made the scheduled/vector rung unreachable
-        from the pipeline.
+        ``schedule`` is a compatibility shim, not an option: the
+        ``perfbench/`` harness overrides this method and forwards three
+        positional arguments.  Only a false value is accepted; the
+        parameter goes when that harness next changes.
         """
-        key = (spec, tally, schedule)
+        if schedule:
+            raise ValueError("the run-lengthening scheduler has been removed")
+        key = (spec, tally)
         token = ("program",) + key
         while True:
             with self._lock:
@@ -361,9 +360,7 @@ class CircuitCache:
                 # This cache holds the FusedProgram itself, so the module-level
                 # fusion memo must not additionally pin the throwaway key.
                 program = fuse_program(
-                    compile_program(built.circuit, tally=tally),
-                    memoize=False,
-                    schedule=schedule,
+                    compile_program(built.circuit, tally=tally), memoize=False
                 )
             except UnsupportedGateError as exc:
                 with self._lock:

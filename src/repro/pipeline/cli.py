@@ -12,8 +12,10 @@ checkpoints from a previous (possibly interrupted) run, ``--max-retries``
 / ``--task-timeout`` bound per-task recovery, ``--no-fail-fast`` records
 task failures in the run report instead of aborting, and ``--faults``
 arms the chaos harness (:mod:`repro.pipeline.faults`) for the whole
-execution ladder.  Every run writes ``run_report.json``/``.md`` next to
-the tables artifact with per-task attempts, errors and journal counts.
+execution ladder.  ``--strategy`` picks how the Monte-Carlo columns
+execute (:data:`repro.sim.strategies.STRATEGIES`).  Every run writes
+``run_report.json``/``.md`` next to the tables artifact with per-task
+attempts, errors and journal counts.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
+from ..sim.strategies import STRATEGIES
 from .artifacts import (
     diff_artifacts,
     load_artifact,
@@ -127,15 +130,11 @@ def _parse(argv: Optional[Sequence[str]]) -> argparse.Namespace:
                         help="per-task wall-clock budget on the pool rungs; a "
                              "worker past it is killed and the task retried "
                              "(default: no limit)")
-    parser.add_argument("--schedule", action="store_true",
-                        help="run the run-lengthening scheduler before fusing "
-                             "each task circuit's compiled program "
-                             "(execution-only: artifact bytes are unchanged; "
-                             "composes with --smoke and --check)")
-    parser.add_argument("--kernels", default=None, metavar="STRATEGY",
-                        help="generated-kernel strategy for the Monte-Carlo "
-                             "columns: codegen, vector or auto "
-                             "(execution-only; composes with --smoke)")
+    parser.add_argument("--strategy", default="codegen", choices=STRATEGIES,
+                        help="execution strategy for the Monte-Carlo columns "
+                             "(default codegen; execution-only: artifact "
+                             "bytes are unchanged; composes with --smoke "
+                             "and --check)")
     parser.add_argument("--no-fail-fast", action="store_true",
                         help="record tasks that exhaust their retries in the "
                              "run report (exit 1) instead of aborting the sweep")
@@ -157,12 +156,6 @@ def _parse(argv: Optional[Sequence[str]]) -> argparse.Namespace:
         args.transform_chain = parse_transform_chain(args.transform)
     except ValueError as exc:
         parser.error(str(exc))
-    from ..sim.strategies import validate_kernels
-
-    try:
-        validate_kernels(args.kernels)
-    except ValueError as exc:
-        parser.error(f"--kernels: {exc}")
     if args.max_retries < 0:
         parser.error("--max-retries must be >= 0")
     if args.task_timeout is not None and args.task_timeout <= 0:
@@ -215,8 +208,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         fail_fast=not args.no_fail_fast,
         store=store,
         resume=True,
-        schedule=args.schedule,
-        kernels=args.kernels,
+        strategy=args.strategy,
     )
     if args.fault_plan is not None:
         # Arm the whole ladder: the env var reaches pool workers, the

@@ -342,12 +342,10 @@ class ExecutionPolicy:
     #: Pool breaks (BrokenProcessPool / timeouts) survived on one rung
     #: before degrading process -> thread -> serial.
     pool_breaks_before_degrade: int = 2
-    #: Run the run-lengthening scheduler before fusing each task circuit's
-    #: compiled program.  Execution-only: results are bit-identical.
-    schedule: bool = False
-    #: Generated-kernel strategy for the Monte-Carlo columns ("codegen",
-    #: "vector", "auto"; None = backend default).  Execution-only.
-    kernels: Optional[str] = None
+    #: Execution strategy for the Monte-Carlo columns, one of
+    #: :data:`repro.sim.strategies.STRATEGIES`.  Execution-only: results
+    #: are bit-identical whatever the choice.
+    strategy: str = "codegen"
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -356,9 +354,9 @@ class ExecutionPolicy:
             raise ValueError("task_timeout must be positive (or None)")
         if self.pool_breaks_before_degrade < 0:
             raise ValueError("pool_breaks_before_degrade must be >= 0")
-        from ..sim.strategies import validate_kernels
+        from ..sim.strategies import validate_strategy
 
-        validate_kernels(self.kernels)
+        validate_strategy(self.strategy)
 
 
 @dataclass
@@ -437,8 +435,7 @@ def _invoke(
     task: Dict[str, Any],
     attempt: int,
     serial_cache: Any = None,
-    schedule: bool = False,
-    kernels: Optional[str] = None,
+    strategy: str = "codegen",
 ) -> Dict[str, Any]:
     """Run one task (fault point first) and carry its cache delta home.
 
@@ -449,9 +446,8 @@ def _invoke(
     delta is exact on the process rung (workers run one task at a time);
     on the thread rung concurrent tasks share one cache, so per-task
     attribution is approximate while the aggregate stays truthful.
-    ``schedule``/``kernels`` are the policy's execution-only kernel
-    choices, forwarded positionally so the process pool can pickle the
-    submission.
+    ``strategy`` is the policy's execution-only strategy, forwarded
+    positionally so the process pool can pickle the submission.
     """
     from .faults import maybe_fire
     from .runner import _run_task, _worker_cache
@@ -460,7 +456,7 @@ def _invoke(
     before = _stats_snapshot(cache.stats)
     maybe_fire("task", task_key(task), attempt)
     start = time.perf_counter()
-    kind, key, payload = _run_task(task, cache, schedule=schedule, kernels=kernels)
+    kind, key, payload = _run_task(task, cache, strategy=strategy)
     after = _stats_snapshot(cache.stats)
     return {
         "kind": kind,
@@ -632,7 +628,7 @@ def _run_pooled(state: _State, mode: str, workers: int) -> bool:
                     try:
                         future = pool.submit(
                             _invoke, state.tasks[index], attempt, None,
-                            policy.schedule, policy.kernels,
+                            policy.strategy,
                         )
                     except (BrokenExecutor, RuntimeError):
                         # Pool died between reap and submit: put the task
@@ -726,7 +722,7 @@ def _run_serial(state: _State) -> None:
         try:
             result = _invoke(
                 state.tasks[index], attempt, serial_cache=state.serial_cache,
-                schedule=policy.schedule, kernels=policy.kernels,
+                strategy=policy.strategy,
             )
         except Exception as exc:
             if state.record_failure(index, "serial", f"{type(exc).__name__}: {exc}"):

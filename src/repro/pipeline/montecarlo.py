@@ -86,10 +86,8 @@ def mc_expected_counts(
     seed: int = 0,
     gates: Sequence[str] = DEFAULT_GATES,
     inputs: Optional[Mapping[str, Any]] = None,
-    compiled: bool = True,
     program: Any = None,
-    kernels: Optional[str] = None,
-    schedule: bool = False,
+    strategy: str = "codegen",
     noise: Any = None,
 ) -> MCEstimate:
     """Estimate the expected executed count of ``gates`` over random outcomes.
@@ -103,26 +101,19 @@ def mc_expected_counts(
     circuits outside basis-state semantics (e.g. QFT-based Draper rows);
     use :func:`mc_or_none` to skip those.
 
-    ``compiled=True`` (the default) compiles the circuit *once* — or takes
-    a pre-built ``program`` (a
-    :class:`~repro.transform.compile.FusedProgram` or
+    ``strategy`` is one of :data:`repro.sim.strategies.STRATEGIES`.  The
+    compiled strategies (``"codegen"``, the default, ``"vector"`` and
+    ``"auto"``) compile the circuit *once* — or take a pre-built
+    ``program`` (a :class:`~repro.transform.compile.FusedProgram` or
     :class:`~repro.transform.compile.CompiledProgram`, e.g. from
-    :meth:`~repro.pipeline.cache.CircuitCache.program`) — and re-runs it
+    :meth:`~repro.pipeline.cache.CircuitCache.program`) — and re-run it
     for every repetition on one simulator whose plane buffers are reset in
-    place, instead of rebuilding execution state per repetition.  Results
-    are bit-identical to the interpretive path (``compiled=False``): the
-    estimate still depends only on ``(seed, batch, repeats)``.
-
-    ``kernels`` picks the generated-kernel strategy the compiled
-    repetitions execute through (``"codegen"``, ``"vector"`` or
-    ``"auto"``; ``None`` is the backend default) and
-    ``schedule=True`` runs the run-lengthening scheduler before fusion
-    when this call compiles or fuses the program itself (a pre-fused
-    ``program`` already made that choice — pull it from
-    :meth:`CircuitCache.program(spec, schedule=True)
-    <repro.pipeline.cache.CircuitCache.program>` to combine the two).
-    Both are execution-only: estimates are bit-identical whatever the
-    kernel or schedule, so the golden artifacts cannot move.
+    place, instead of rebuilding execution state per repetition.
+    ``"interpretive"`` walks the circuit with the execution engine every
+    repetition and takes no ``program``.  The choice is execution-only:
+    every strategy consumes identical outcome streams, so estimates are
+    bit-identical whatever the strategy and depend only on
+    ``(seed, batch, repeats)`` — the golden artifacts cannot move.
 
     ``noise`` (a :class:`repro.noise.NoiseConfig`) enables the bit-flip
     channel at the circuit's annotated noise points.  The channel stream
@@ -132,9 +123,10 @@ def mc_expected_counts(
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
-    from ..sim.strategies import validate_kernels
+    from ..sim.strategies import validate_strategy
 
-    validate_kernels(kernels)
+    validate_strategy(strategy, program=program)
+    compiled = strategy != "interpretive"
     circuit = _circuit_of(target)
     compile_seconds = 0.0
     if compiled:
@@ -147,15 +139,13 @@ def mc_expected_counts(
         if program is None:
             start = time.perf_counter()
             program = fuse_program(
-                compile_program(circuit, tally=True),
-                memoize=False,
-                schedule=schedule,
+                compile_program(circuit, tally=True), memoize=False
             )
             program.kernel(events=True)  # kernel generation is compile work
             compile_seconds = time.perf_counter() - start
         elif isinstance(program, CompiledProgram):
             start = time.perf_counter()
-            program = fuse_program(program, schedule=schedule)
+            program = fuse_program(program)
             compile_seconds = time.perf_counter() - start
     chunks = []
     start = time.perf_counter()
@@ -173,7 +163,7 @@ def mc_expected_counts(
         for name, value in (inputs or {}).items():
             sim.set_register(name, value)
         if compiled:
-            sim.run_compiled(program, kernels=kernels)
+            sim.run_compiled(program, strategy=strategy)
         else:
             sim.run()
         chunks.append(sim.lane_tally())

@@ -125,8 +125,7 @@ def table_rows_with_mc(
     mc_gates: Tuple[str, ...] = DEFAULT_GATES,
     cache: Optional[CircuitCache] = None,
     transforms: Tuple[str, ...] = (),
-    schedule: bool = False,
-    kernels: Optional[str] = None,
+    strategy: str = "codegen",
 ) -> List[Dict[str, Any]]:
     """One table at one width, with Monte-Carlo columns attached.
 
@@ -137,11 +136,10 @@ def table_rows_with_mc(
     measure the transformed circuit); rows a transform makes unsimulable on
     the bit-plane backend simply skip their MC columns.
 
-    ``schedule``/``kernels`` choose how the Monte-Carlo columns *execute*
-    (run-lengthening scheduler before fusion; generated-kernel strategy —
-    e.g. ``schedule=True, kernels="vector"`` for the vectorized numpy
-    rung).  Both are execution-only: every kernel consumes identical
-    outcome streams, so the rows are byte-identical whatever the choice.
+    ``strategy`` chooses how the Monte-Carlo columns *execute* (see
+    :func:`~repro.pipeline.montecarlo.mc_expected_counts`).  It is
+    execution-only: every strategy consumes identical outcome streams, so
+    the rows are byte-identical whatever the choice.
     """
     from ..resources.tables import TABLE_SPECS, build_table_rows
 
@@ -157,8 +155,10 @@ def table_rows_with_mc(
             circuit_spec = row_spec.template.spec(
                 n, p=p, a=a, mbu=(metric.variant == "mbu"), transforms=transforms
             )
-            try:  # compile once per (spec, transforms, schedule); reused sweep-wide
-                program = cache.program(circuit_spec, schedule=schedule)
+            # Compile once per (spec, transforms), reused sweep-wide; the
+            # compile also vets basis-state semantics for every strategy.
+            try:
+                program = cache.program(circuit_spec)
             except UnsupportedGateError:  # no basis-state semantics (QFT rows)
                 continue
             estimate = mc_or_none(
@@ -167,8 +167,8 @@ def table_rows_with_mc(
                 repeats=mc_repeats,
                 gates=mc_gates,
                 seed=derive_seed(seed, table, n, row_spec.key, metric.variant),
-                program=program,
-                kernels=kernels,
+                program=None if strategy == "interpretive" else program,
+                strategy=strategy,
             )
             if estimate is None:  # pragma: no cover - compile already vetted
                 continue
@@ -186,8 +186,7 @@ def modexp_row(
     mc_repeats: int = 1,
     mc_gates: Tuple[str, ...] = DEFAULT_GATES,
     cache: Optional[CircuitCache] = None,
-    schedule: bool = False,
-    kernels: Optional[str] = None,
+    strategy: str = "codegen",
 ) -> Dict[str, Any]:
     """The large-workload scenario: Shor-style modular exponentiation.
 
@@ -211,7 +210,7 @@ def modexp_row(
         row[f"toffoli{suffix}_paper"] = formula["toffoli"]
         if suffix == "_mbu":
             try:  # compile once per spec; reused sweep-wide
-                program = cache.program(spec, schedule=schedule)
+                program = cache.program(spec)
             except UnsupportedGateError:
                 program = None
             estimate = None if program is None else mc_or_none(
@@ -220,8 +219,8 @@ def modexp_row(
                 repeats=mc_repeats,
                 gates=mc_gates,
                 seed=derive_seed(seed, "modexp", n_exp, n),
-                program=program,
-                kernels=kernels,
+                program=None if strategy == "interpretive" else program,
+                strategy=strategy,
             )
             if estimate is not None:
                 row["toffoli_mbu_mc"] = estimate.mean
@@ -246,8 +245,7 @@ def _worker_cache() -> CircuitCache:
 def _run_task(
     task: Dict[str, Any],
     cache: Optional[CircuitCache] = None,
-    schedule: bool = False,
-    kernels: Optional[str] = None,
+    strategy: str = "codegen",
 ):
     if cache is None:
         cache = _worker_cache()
@@ -258,7 +256,7 @@ def _run_task(
             seed=task["seed"], mc_batch=task["mc_batch"],
             mc_repeats=task["mc_repeats"], mc_gates=tuple(task["mc_gates"]),
             cache=cache, transforms=tuple(task.get("transforms", ())),
-            schedule=schedule, kernels=kernels,
+            strategy=strategy,
         )
         return ("table", (task["table"], task["n"]), rows)
     if kind == "savings":
@@ -270,7 +268,7 @@ def _run_task(
             task["n_exp"], task["n"],
             seed=task["seed"], mc_batch=task["mc_batch"],
             mc_repeats=task["mc_repeats"], mc_gates=tuple(task["mc_gates"]),
-            cache=cache, schedule=schedule, kernels=kernels,
+            cache=cache, strategy=strategy,
         )
         return ("modexp", (task["n_exp"], task["n"]), row)
     raise ValueError(f"unknown task kind {kind!r}")  # pragma: no cover
@@ -312,9 +310,11 @@ def run_sweep(
     :class:`~repro.pipeline.jobs.ExecutionPolicy`; defaults when
     omitted); serially, the caller's ``cache`` (or a fresh one) is shared
     across all tasks, which is where the cross-table reuse pays off.
-    Output rows are identical either way — and identical across retries,
-    pool respawns and resumed runs, because every task's streams are
-    seeded by content, not by schedule.
+    ``policy.strategy`` picks how the Monte-Carlo columns execute (see
+    :func:`table_rows_with_mc`).  Output rows are identical either way —
+    and identical across retries, pool respawns, resumed runs and
+    strategies, because every task's streams are seeded by content, not
+    by schedule.
 
     A raising task no longer aborts the sweep with nothing to show:
     under the default ``policy.fail_fast=True`` the sweep raises a

@@ -11,12 +11,12 @@ is the cache key: two spellings of the same question must hash alike.
 expected-mode gate counts (Fractions preserved), qubit/ancilla widths,
 and (where the circuit has basis-state semantics) a Monte-Carlo estimate
 whose stream is seeded by request content via
-:func:`~repro.pipeline.montecarlo.derive_seed`.  Nothing time- or
-schedule-dependent enters the payload, which is what makes the service's
-consistency contract possible: a repeated request is served from cache
-byte-identically, and a restarted server re-serves the same bytes from
-the disk tier (asserted end-to-end by ``tests/test_service.py`` and the
-CI ``service-smoke`` job).
+:func:`~repro.pipeline.montecarlo.derive_seed`.  Nothing that depends
+on time, workers or the execution strategy enters the payload, which is
+what makes the service's consistency contract possible: a repeated
+request is served from cache byte-identically, and a restarted server
+re-serves the same bytes from the disk tier (asserted end-to-end by
+``tests/test_service.py`` and the CI ``service-smoke`` job).
 """
 
 from __future__ import annotations

@@ -27,8 +27,8 @@ Backends
     Monte-Carlo estimation of expected MBU costs in a single pass.
 ``auto``
     The calibrated cost model (:mod:`repro.sim.dispatch.cost`) picks the
-    cheapest capable strategy — classical, interpretive bitplane, compiled
-    scalar, or fused codegen/vector — for the given (ops, batch, tally).
+    cheapest capable strategy — classical, interpretive bitplane, or the
+    generated codegen/vector kernels — for the given (ops, batch, tally).
 
 All three are :class:`~repro.sim.engine.ExecutionBackend` implementations
 driven by :class:`~repro.sim.engine.ExecutionEngine`, which owns the
@@ -55,7 +55,13 @@ from .outcomes import (
     RandomOutcomes,
 )
 from .statevector import StatevectorSimulator, run_statevector
-from .strategies import FUSED_KERNELS, KERNEL_CHOICES, LADDER, validate_kernels
+from .strategies import (
+    COMPILED_STRATEGIES,
+    FUSED_KERNELS,
+    LADDER,
+    STRATEGIES,
+    validate_strategy,
+)
 
 __all__ = [
     "simulate",
@@ -80,8 +86,9 @@ __all__ = [
     "ForcedOutcomes",
     "ConstantOutcomes",
     "ImpossibleOutcomeError",
+    "COMPILED_STRATEGIES",
     "FUSED_KERNELS",
-    "KERNEL_CHOICES",
     "LADDER",
-    "validate_kernels",
+    "STRATEGIES",
+    "validate_strategy",
 ]

@@ -94,7 +94,7 @@ def simulate(
     backend additionally accepts per-lane sequences).  Extra keyword
     options are forwarded to the backend runner (e.g. ``batch=4096`` for
     ``bitplane``, ``tally=False`` for any of the built-ins, or
-    ``compiled=True`` for ``bitplane``'s pre-compiled execution path).
+    ``strategy="codegen"`` for ``bitplane``'s compiled execution path).
 
     ``transforms`` applies a :mod:`repro.transform` pass chain to the
     circuit before simulation — registered pass names (a list or a
@@ -197,35 +197,36 @@ def _run_bitplane(
     batch: int = 64,
     tally: bool = True,
     lane_counts: Any = None,
-    compiled: bool = False,
     program: Any = None,
-    fused: bool = True,
-    kernels: str | None = None,
+    strategy: str | None = None,
     noise: Any = None,
-    schedule: bool = False,
 ) -> SimulationResult:
-    from .strategies import validate_kernels
+    """``strategy`` is one of :data:`repro.sim.strategies.STRATEGIES`.
 
-    validate_kernels(kernels)
+    ``"interpretive"`` walks the circuit with the execution engine; the
+    others run a compiled program (``program=``, or compiled on the fly)
+    through :meth:`BitplaneSimulator.run_compiled`.  The default is
+    ``"interpretive"``, or ``"codegen"`` when a ``program`` is supplied.
+    """
+    from .strategies import validate_strategy
+
+    if strategy is None:
+        strategy = "interpretive" if program is None else "codegen"
+    validate_strategy(strategy, program=program)
     _check_registers(circuit, inputs)
-    if compiled or program is not None:
+    if strategy == "interpretive":
+        sim = run_bitplane(
+            circuit, inputs, batch=batch, outcomes=outcomes, tally=tally,
+            lane_counts=lane_counts, noise=noise,
+        )
+    else:
         sim = BitplaneSimulator(
             circuit, batch=batch, outcomes=outcomes, tally=tally,
             lane_counts=lane_counts, noise=noise,
         )
         for name, values in (inputs or {}).items():
             sim.set_register(name, values)
-        sim.run_compiled(program, fused=fused, kernels=kernels, schedule=schedule)
-    elif kernels is not None or fused is not True:
-        raise ValueError(
-            "kernels=/fused= select a compiled execution strategy; "
-            "pass compiled=True (or program=) to use them"
-        )
-    else:
-        sim = run_bitplane(
-            circuit, inputs, batch=batch, outcomes=outcomes, tally=tally,
-            lane_counts=lane_counts, noise=noise,
-        )
+        sim.run_compiled(program, strategy=strategy)
     registers = {name: sim.get_register(name) for name in circuit.registers}
     bits: List[List[int]] = [sim.get_bit(b) for b in range(circuit.num_bits)]
     return SimulationResult("bitplane", registers, bits, sim.tally, sim)
@@ -247,54 +248,42 @@ def _run_auto(
     The returned result's ``backend`` records what actually ran, as
     ``"auto:<strategy>"``.  ``classical`` is only a candidate for
     ``batch=1`` scalar-input calls (its result shape differs); circuits the
-    compiler rejects fall back to the interpretive ladder.
+    compiler rejects fall back to the interpretive walk.
     """
     from .classical import UnsupportedGateError
     from .dispatch.cost import default_model
+    from .strategies import FUSED_KERNELS, LADDER
     from ..transform.compile import compile_program
 
     _check_registers(circuit, inputs)
-    compiled_ok = True
+    candidates = list(LADDER)
     if program is None:
         try:
             program = compile_program(
                 circuit, tally=tally or bool(lane_counts)
             )
         except UnsupportedGateError:
-            compiled_ok = False
-    if compiled_ok:
-        ops = len(program.scalar if hasattr(program, "scalar") else program)
-        candidates = ["interpretive", "scalar", "codegen", "vector"]
+            candidates = [c for c in candidates if c not in FUSED_KERNELS]
+    if program is not None:
+        ops = len(getattr(program, "scalar", program))
     else:
         from ..circuits.ops import iter_flat
 
         ops = sum(1 for _ in iter_flat(circuit.ops))
-        candidates = ["interpretive"]
-    scalar_inputs = all(
-        isinstance(v, (int,)) for v in (inputs or {}).values()
-    )
-    if batch == 1 and scalar_inputs and not lane_counts:
-        candidates.insert(0, "classical")
+    scalar_inputs = all(isinstance(v, int) for v in (inputs or {}).values())
+    if not scalar_inputs:
+        candidates.remove("classical")
     choice = default_model().choose(
         ops=ops, batch=batch, tally=tally, lane_counts=bool(lane_counts),
         candidates=candidates,
     )
     if choice == "classical":
         result = _run_classical(circuit, inputs, outcomes, tally=tally, noise=noise)
-    elif choice == "interpretive":
+    else:
         result = _run_bitplane(
             circuit, inputs, outcomes, batch=batch, tally=tally,
-            lane_counts=lane_counts, noise=noise,
-        )
-    elif choice == "scalar":
-        result = _run_bitplane(
-            circuit, inputs, outcomes, batch=batch, tally=tally,
-            lane_counts=lane_counts, program=program, fused=False, noise=noise,
-        )
-    else:  # codegen / vector
-        result = _run_bitplane(
-            circuit, inputs, outcomes, batch=batch, tally=tally,
-            lane_counts=lane_counts, program=program, kernels=choice, noise=noise,
+            lane_counts=lane_counts, noise=noise, strategy=choice,
+            program=None if choice == "interpretive" else program,
         )
     result.backend = f"auto:{choice}"
     return result

@@ -381,70 +381,39 @@ class BitplaneSimulator(ExecutionBackend):
         return self
 
     def run_compiled(
-        self, program=None, *, fused: bool = True, kernels: str | None = None,
-        schedule: bool = False,
+        self, program=None, *, strategy: str = "codegen"
     ) -> "BitplaneSimulator":
-        """Execute a compiled (and by default *fused*) bit-plane program.
+        """Execute a compiled bit-plane program through a generated kernel.
 
         ``program`` may be a :class:`~repro.transform.compile.CompiledProgram`,
         a :class:`~repro.transform.compile.FusedProgram`, or ``None`` (the
         circuit is compiled on the fly; tally metadata included iff the
         engine tally or ``lane_counts`` tracking needs it).
 
-        ``fused=True`` (default) executes through the fused kernels of
-        :mod:`repro.sim.kernels`: ``kernels="codegen"`` (default) runs the
-        generated straight-line bigint kernel, ``kernels="vector"`` the
-        generated straight-line numpy kernel over the packed plane matrix,
-        and ``kernels="auto"`` asks the calibrated cost model
-        (:mod:`repro.sim.dispatch.cost`) to pick between them for this
-        (program, batch).  ``schedule=True`` runs the run-lengthening
-        scheduler (:func:`repro.transform.compile.schedule_program`) before
-        fusion — bit-identical results, longer same-opcode runs (ignored
-        when ``program`` is already fused).  Executed-gate tallies come
-        from per-scope entry events, and — unlike the scalar path — exact
-        per-lane ``lane_counts`` tracking is supported.
-
-        ``fused=False`` is the scalar escape hatch: the flat
-        program-counter loop over pre-resolved instruction tuples, with
-        state in one bigint per plane (PR 3's compiled VM, and the baseline
-        ``benchmarks/bench_fused.py`` measures the fused kernels against).
+        ``strategy`` picks the kernel of :mod:`repro.sim.kernels`:
+        ``"codegen"`` (default) runs the generated straight-line bigint
+        kernel, ``"vector"`` the generated straight-line numpy kernel over
+        the packed plane matrix, and ``"auto"`` asks the calibrated cost
+        model (:mod:`repro.sim.dispatch.cost`) to pick between them for
+        this (program, batch).  Executed-gate tallies come from per-scope
+        entry events, and exact per-lane ``lane_counts`` tracking is
+        supported.
 
         Results (states, bits, measurement-outcome stream, tally and lane
-        tallies) are identical to :meth:`run` on every path — see
+        tallies) are identical to :meth:`run` on every strategy — see
         ``tests/test_fused_vm.py``.
         """
         from ..transform.compile import (  # deferred: transform layers above sim
             CompiledProgram,
-            FusedProgram,
-            OP_CCX,
-            OP_COND,
-            OP_CSWAP,
-            OP_CX,
-            OP_ENDCOND,
-            OP_ENDMBU,
-            OP_MBU,
-            OP_MX,
-            OP_MZ,
-            OP_NOISE,
-            OP_SWAP,
-            OP_X,
             compile_program,
             fuse_program,
         )
 
-        from .strategies import FUSED_KERNELS, validate_kernels
+        from .strategies import COMPILED_STRATEGIES, FUSED_KERNELS, validate_strategy
 
-        validate_kernels(kernels)
-        if kernels is not None and not fused:
-            raise ValueError("kernels= selects a fused strategy; pass fused=True")
+        validate_strategy(strategy, COMPILED_STRATEGIES)
         tallying = self.engine.tally is not None
         tracking = bool(self._lane_track)
-        if tracking and not fused:
-            raise ValueError(
-                "lane_counts tracking is not supported by the scalar compiled "
-                "VM; use run_compiled(fused=True) (the default) or the "
-                "interpretive run()"
-            )
         needs_meta = tallying or tracking
         fresh_compile = program is None
         if fresh_compile:
@@ -465,128 +434,22 @@ class BitplaneSimulator(ExecutionBackend):
                 "compile_program(circuit, tally=True) or construct the "
                 "simulator with tally=False"
             )
+        if isinstance(program, CompiledProgram):
+            # Memoize only caller-held programs: a program compiled on the
+            # fly above dies with this call, so pinning it in the fusion
+            # memo would only waste memory.
+            program = fuse_program(program, memoize=not fresh_compile)
+        if strategy == "auto":
+            from .dispatch.cost import default_model
 
-        if fused:
-            if isinstance(program, CompiledProgram):
-                # Memoize only caller-held programs: a program compiled on
-                # the fly above dies with this call, so pinning it in the
-                # fusion memo would only waste memory.
-                program = fuse_program(
-                    program, memoize=not fresh_compile, schedule=schedule
-                )
-            if kernels == "auto":
-                from .dispatch.cost import default_model
-
-                kernels = default_model().choose(
-                    ops=len(program.scalar.instructions),
-                    batch=self.batch,
-                    tally=tallying,
-                    lane_counts=tracking,
-                    candidates=FUSED_KERNELS,
-                )
-            return self._run_fused(program, kernels or "codegen", tallying, tracking)
-        if isinstance(program, FusedProgram):
-            program = program.scalar
-        instructions = program.instructions
-        tallies = program.tallies if tallying else None
-        num_qubits, num_bits = self.circuit.num_qubits, self.circuit.num_bits
-        planes = [
-            int.from_bytes(self.planes[q].tobytes(), "little")
-            for q in range(num_qubits)
-        ]
-        bits = [
-            int.from_bytes(self.bit_planes[b].tobytes(), "little")
-            for b in range(num_bits)
-        ]
-        batch = self.batch
-        sample = self.engine.sample_lanes
-        noise = self._noise_lanes if self._noise_stream is not None else None
-        executed: Dict[str, int] = {}
-        mask_stack = [(1 << batch) - 1]
-        mask = mask_stack[-1]
-        active = batch
-        end = len(instructions)
-        pc = 0
-        while pc < end:
-            instr = instructions[pc]
-            if tallies is not None:
-                for name in tallies[pc]:
-                    executed[name] = executed.get(name, 0) + active
-            op = instr[0]
-            if op == OP_CX:
-                planes[instr[2]] ^= planes[instr[1]] & mask
-            elif op == OP_CCX:
-                planes[instr[3]] ^= planes[instr[1]] & planes[instr[2]] & mask
-            elif op == OP_X:
-                planes[instr[1]] ^= mask
-            elif op == OP_COND:
-                bit_plane = bits[instr[1]]
-                sub = (mask & bit_plane) if instr[2] else (mask & ~bit_plane)
-                mask_stack.append(sub)
-                mask = sub
-                if tallies is not None:
-                    active = sub.bit_count()
-                if not sub:
-                    pc = instr[3]
-                    continue
-            elif op == OP_ENDCOND:
-                mask_stack.pop()
-                mask = mask_stack[-1]
-                if tallies is not None:
-                    active = mask.bit_count()
-            elif op == OP_ENDMBU:
-                mask_stack.pop()
-                mask = mask_stack[-1]
-                if tallies is not None:
-                    active = mask.bit_count()
-                # both MBU branches leave the garbage qubit in |0>
-                planes[instr[1]] &= ~mask
-            elif op == OP_MBU:
-                outcome = sample(0.5, batch)
-                b = instr[2]
-                bits[b] = (bits[b] & ~mask) | (outcome & mask)
-                sub = mask & outcome
-                mask_stack.append(sub)
-                mask = sub
-                if tallies is not None:
-                    active = sub.bit_count()
-                if not sub:
-                    pc = instr[3]
-                    continue
-            elif op == OP_MX:
-                outcome = sample(0.5, batch)
-                q, b = instr[1], instr[2]
-                planes[q] = (planes[q] & ~mask) | (outcome & mask)
-                bits[b] = (bits[b] & ~mask) | (outcome & mask)
-            elif op == OP_MZ:
-                q, b = instr[1], instr[2]
-                bits[b] = (bits[b] & ~mask) | (planes[q] & mask)
-            elif op == OP_SWAP:
-                a, b = instr[1], instr[2]
-                delta = (planes[a] ^ planes[b]) & mask
-                planes[a] ^= delta
-                planes[b] ^= delta
-            elif op == OP_CSWAP:
-                c, a, b = instr[1], instr[2], instr[3]
-                delta = (planes[a] ^ planes[b]) & mask & planes[c]
-                planes[a] ^= delta
-                planes[b] ^= delta
-            elif op == OP_NOISE:
-                if noise is not None:
-                    planes[instr[1]] ^= noise(batch) & mask
-            # else OP_NOP: tally flush only
-            pc += 1
-
-        words = self.words
-        for q in range(num_qubits):
-            self.planes[q] = _pack_int(planes[q], words)
-        for b in range(num_bits):
-            self.bit_planes[b] = _pack_int(bits[b], words)
-        if tallies is not None:
-            tally = self.engine.tally
-            for name, total in executed.items():
-                tally.add(name, Fraction(total, batch))
-        return self
+            strategy = default_model().choose(
+                ops=len(program.scalar.instructions),
+                batch=self.batch,
+                tally=tallying,
+                lane_counts=tracking,
+                candidates=FUSED_KERNELS,
+            )
+        return self._run_fused(program, strategy, tallying, tracking)
 
     def _run_fused(
         self, program, strategy: str, tallying: bool, tracking: bool

@@ -2,7 +2,7 @@
 
 :mod:`repro.sim.dispatch.cost` ranks the execution rungs of
 :data:`repro.sim.strategies.LADDER` for one (ops, batch, tally) request;
-``backend="auto"`` and ``kernels="auto"`` consult it.  This package also
+``backend="auto"`` and ``strategy="auto"`` consult it.  This package also
 keeps :func:`program_is_flat`, a structural query on compiled programs.
 """
 

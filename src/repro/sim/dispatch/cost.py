@@ -1,12 +1,11 @@
-"""The calibrated backend cost model behind ``backend="auto"``.
+"""The calibrated backend cost model behind ``strategy="auto"``.
 
 The backend ladder's honest benchmarks show no single winner: the fused
-codegen VM dominates mid-size batches, the generated numpy vector kernels
-take over once plane rows are long enough for SIMD to amortize ufunc
-dispatch, and the scalar VM wins tiny programs.  This module turns those
-measurements into a choice: :func:`choose_backend` estimates wall time
-for every *capable* strategy from a small calibrated linear model and
-picks the cheapest.
+codegen kernel dominates small and mid-size batches, while the generated
+numpy vector kernel takes over once plane rows are long enough for SIMD
+to amortize ufunc dispatch.  This module turns those measurements into a
+choice: :func:`choose_backend` estimates wall time for every *capable*
+strategy from a small calibrated linear model and picks the cheapest.
 
 Calibration workflow
 --------------------
@@ -66,10 +65,6 @@ DEFAULT_CALIBRATION: Dict[str, Any] = {
         "interpretive": {
             "off": {"c0": 1e-04, "c_ops": 2.5e-06, "c_ops_words": 1.5e-08},
             "on": {"c0": 1e-04, "c_ops": 4e-06, "c_ops_words": 1.5e-08},
-        },
-        "scalar": {
-            "off": {"c0": 2e-05, "c_ops": 4e-07, "c_ops_words": 6e-09},
-            "on": {"c0": 2e-05, "c_ops": 6e-07, "c_ops_words": 6e-09},
         },
         "codegen": {
             "off": {"c0": 3e-05, "c_ops": 1.2e-07, "c_ops_words": 4e-09},
@@ -149,18 +144,15 @@ class CostModel:
         """The cheapest strategy that can run the request.
 
         Capability filtering before ranking: a name not on the ladder is
-        never feasible, ``classical`` only handles one lane per call (and
-        scalar inputs), and ``scalar`` cannot track per-lane
-        ``lane_counts``.
+        never feasible, and ``classical`` only handles one lane per call
+        (with scalar inputs) and keeps no per-lane ``lane_counts``.
         """
         pool = list(candidates) if candidates is not None else list(STRATEGIES)
         feasible = []
         for name in pool:
             if name not in STRATEGIES:
                 continue
-            if name == "classical" and batch != 1:
-                continue
-            if name == "scalar" and lane_counts:
+            if name == "classical" and (batch != 1 or lane_counts):
                 continue
             feasible.append(name)
         if not feasible:

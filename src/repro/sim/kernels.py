@@ -14,18 +14,17 @@ specializations make this more than dispatch removal:
 * *Full-mask elision* — code at branch depth 0 always runs with the
   all-lanes mask, and plane integers never carry bits at or above
   ``batch`` (an invariant every operation preserves), so the ``& mask``
-  that dominates the scalar VM's per-instruction cost disappears from the
-  top-level stream: ``cx`` becomes a single bigint XOR.
+  that dominates a masked bigint update disappears from the top-level
+  stream: ``cx`` becomes a single bigint XOR.
 * *Swap renaming* — a full-mask ``swap`` exchanges two local variable
   bindings at *codegen* time and emits no runtime code at all.
 * *Per-scope tally events* — executed-gate accounting reduces to one
   ``(scope_id, mask)`` event per dynamic scope entry; totals are
   reconstructed afterwards from the program's static per-scope counts.
-  The same events drive exact per-lane ``lane_counts`` tracking, which the
-  scalar compiled VM cannot do at all.
+  The same events drive exact per-lane ``lane_counts`` tracking.
 
 **Generated straight-line numpy kernels** (:func:`build_vector_kernel`,
-``kernels="vector"``).  The same once-per-program code generation, but
+``strategy="vector"``).  The same once-per-program code generation, but
 over the simulator's packed ``(qubits, words)`` uint64 plane matrix
 instead of bigints: plane rows become local array views mutated with
 in-place ufuncs (``out=``), long same-opcode runs become fancy-indexed
@@ -35,11 +34,10 @@ invariant), and a depth-0 ``swap`` is a codegen-time row renaming
 resolved by one final permutation write.  Scratch lives on the
 *simulator* (grown monotonically, reused across ``reset()`` and
 Monte-Carlo repetitions), so the steady state allocates nothing but
-measurement outcome packs.  This is the rung that finally beats the
-bigint kernels at wide batches: the run-lengthening scheduler
-(:func:`repro.transform.compile.schedule_program`) feeds it longer runs,
-and ``benchmarks/BENCH_dispatch.json`` records the measured crossover;
-``kernels="auto"`` consults the calibrated cost model in
+measurement outcome packs.  This is the rung that beats the bigint
+kernels at wide batches: ``benchmarks/BENCH_dispatch.json`` records the
+measured crossover, and ``strategy="auto"`` consults the calibrated cost
+model in
 :mod:`repro.sim.dispatch.cost` to pick between the two.  See
 ``docs/performance.md``.
 
@@ -302,7 +300,7 @@ def build_kernel(fused, *, events: bool) -> Callable:
 
 
 # --------------------------------------------------------------------------- #
-# generated straight-line numpy kernels (kernels="vector")
+# generated straight-line numpy kernels (strategy="vector")
 
 #: Runs shorter than this unroll into per-gate in-place ufuncs; at or
 #: above it they emit one fancy-indexed gather/scatter block.  Below ~4

@@ -51,7 +51,6 @@ from .compile import (
     FusedScope,
     compile_program,
     fuse_program,
-    schedule_program,
 )
 from .passes import (
     CancelAdjacentPass,
@@ -81,5 +80,4 @@ __all__ = [
     "FusedRun",
     "FusedScope",
     "fuse_program",
-    "schedule_program",
 ]

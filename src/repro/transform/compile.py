@@ -83,7 +83,6 @@ __all__ = [
     "FusedRun",
     "FusedScope",
     "fuse_program",
-    "schedule_program",
     "OP_NOP",
     "OP_X",
     "OP_CX",
@@ -309,164 +308,12 @@ def _compile_ops(ops: Sequence[Operation], em: _Emitter, garbage: List[int]) -> 
 # the fusion stage
 
 
-#: Planes an instruction reads / writes, per opcode (operand positions).
+#: Planes a fusable gate instruction writes, per opcode (operand
+#: positions); its keys are the opcodes fusion may group into runs.
 #: ``swap``/``cswap`` write non-commutatively (the delta depends on current
-#: values), so their operands appear on the write side too.
-_RUN_READS = {OP_X: (), OP_CX: (1,), OP_CCX: (1, 2), OP_SWAP: (1, 2),
-              OP_CSWAP: (1, 2, 3)}
+#: values), so both swapped operands are writes.
 _RUN_WRITES = {OP_X: (1,), OP_CX: (2,), OP_CCX: (3,), OP_SWAP: (1, 2),
                OP_CSWAP: (2, 3)}
-
-
-# --------------------------------------------------------------------------- #
-# the run-lengthening scheduler
-
-
-#: Candidates scanned per pick when extending the current same-opcode run;
-#: bounds the greedy scheduler's conflict checks to O(n * cap).
-_SCHEDULE_SCAN_CAP = 64
-
-
-def _schedule_segment(instructions: Sequence[Tuple[int, ...]]) -> List[int]:
-    """Greedy list-scheduling order (a permutation of ``range(n)``) for one
-    straight-line gate segment.
-
-    Dependence edges are exactly the non-commuting pairs: a gate depends on
-    every earlier gate that writes a plane it touches, and on every earlier
-    reader of a plane it writes.  Any topological order of that graph is
-    observably identical to program order (same final planes, same tallies
-    — the active mask is constant across a segment).  The greedy policy is
-    *locality-preserving*: every new run starts at the earliest ready gate
-    (by original index), so the output stays near program order and the
-    dependence-forced run structure the circuit already has is never torn
-    apart; run lengthening comes purely from pulling later ready gates of
-    the same opcode *into* the current run — subject to fusion's split
-    rule (a gate may not touch a plane already written in the run).
-    """
-    n = len(instructions)
-    if n < 3:
-        return list(range(n))
-    import heapq
-
-    touch_sets: List[frozenset] = []
-    write_sets: List[frozenset] = []
-    succs: List[List[int]] = [[] for _ in range(n)]
-    preds = [0] * n
-    edges: set = set()
-
-    def add_edge(a: int, b: int) -> None:
-        if a != b and (a, b) not in edges:
-            edges.add((a, b))
-            succs[a].append(b)
-            preds[b] += 1
-
-    last_write: Dict[int, int] = {}
-    readers: Dict[int, List[int]] = {}
-    for i, instr in enumerate(instructions):
-        op = instr[0]
-        touched = frozenset(instr[1:])
-        writes = frozenset(instr[j] for j in _RUN_WRITES[op])
-        touch_sets.append(touched)
-        write_sets.append(writes)
-        for p in touched:
-            w = last_write.get(p)
-            if w is not None:
-                add_edge(w, i)
-            if p not in writes:
-                readers.setdefault(p, []).append(i)
-        for p in writes:
-            for r in readers.get(p, ()):
-                add_edge(r, i)
-            last_write[p] = i
-            readers[p] = []
-
-    # Ready gates bucketed per opcode, each bucket a min-heap on original
-    # index: deterministic, and "earliest first" everywhere by construction.
-    buckets: Dict[int, List[int]] = {}
-    for i in range(n):
-        if preds[i] == 0:
-            buckets.setdefault(instructions[i][0], []).append(i)
-    for heap in buckets.values():
-        heapq.heapify(heap)
-
-    order: List[int] = []
-    run_written: set = set()
-    rejects: List[int] = []
-    cur_op = -1
-    while len(order) < n:
-        pick = -1
-        bucket = buckets.get(cur_op)
-        if bucket:
-            # Extend the current run with the earliest ready compatible
-            # gate of the same opcode (bounded scan).
-            for _ in range(min(len(bucket), _SCHEDULE_SCAN_CAP)):
-                cand = heapq.heappop(bucket)
-                if touch_sets[cand].isdisjoint(run_written):
-                    pick = cand
-                    break
-                rejects.append(cand)
-            for cand in rejects:
-                heapq.heappush(bucket, cand)
-            rejects.clear()
-        if pick < 0:
-            # Start a new run at the earliest ready gate overall.
-            cur_op = min(
-                (op for op, b in buckets.items() if b),
-                key=lambda op: buckets[op][0],
-            )
-            pick = heapq.heappop(buckets[cur_op])
-            run_written.clear()
-        order.append(pick)
-        run_written |= write_sets[pick]
-        for succ in succs[pick]:
-            preds[succ] -= 1
-            if preds[succ] == 0:
-                heap = buckets.get(instructions[succ][0])
-                if heap is None:
-                    buckets[instructions[succ][0]] = [succ]
-                else:
-                    heapq.heappush(heap, succ)
-    return order
-
-
-def schedule_program(program: CompiledProgram) -> CompiledProgram:
-    """Reorder commuting gates to lengthen same-opcode runs before fusion.
-
-    Two gates commute when neither writes a plane the other reads or
-    writes; only such pairs are ever exchanged, and reordering never
-    crosses scope boundaries, measurements, or noise points — every
-    non-gate instruction (``COND``/``ENDCOND``/``MBU``/``ENDMBU``,
-    measurements, ``NOISE``, tally-flush ``NOP``) is a barrier that keeps
-    its exact stream position, so branch jump targets stay valid
-    unpatched.  Each instruction's tally tuple travels with it; tally
-    weights are constant within a segment (the active mask cannot change
-    between barriers), so executed-gate accounting — per-scope and
-    per-lane — is bit-identical to the unscheduled program.
-
-    Returns a new :class:`CompiledProgram`; the input is not mutated.
-    """
-    instructions = list(program.instructions)
-    tallies = list(program.tallies)
-    i, n = 0, len(instructions)
-    while i < n:
-        if instructions[i][0] not in _RUN_READS:
-            i += 1
-            continue
-        j = i
-        while j < n and instructions[j][0] in _RUN_READS:
-            j += 1
-        order = _schedule_segment(instructions[i:j])
-        instructions[i:j] = [instructions[i + k] for k in order]
-        tallies[i:j] = [tallies[i + k] for k in order]
-        i = j
-    return CompiledProgram(
-        num_qubits=program.num_qubits,
-        num_bits=program.num_bits,
-        instructions=tuple(instructions),
-        tallies=tuple(tallies),
-        has_tally=program.has_tally,
-        source=program.source,
-    )
 
 
 class FusedRun:
@@ -535,15 +382,15 @@ class FusedProgram:
 
     ``root`` is the scope tree (``scopes[0]``); ``scopes`` indexes every
     scope by ``sid`` for tally post-processing.  ``scalar`` keeps the
-    :class:`CompiledProgram` the fusion ran on — the scalar fallback path
-    executes it directly, and diagnostics compare against it.  Generated
+    flat :class:`CompiledProgram` the fusion ran on — its instruction
+    count is the size the cost model and diagnostics measure.  Generated
     kernels (see :mod:`repro.sim.kernels`) are cached per program and are
     *not* pickled: an unpickled fused program recompiles its kernel on
     first use.
     """
 
     __slots__ = ("num_qubits", "num_bits", "root", "scopes", "scalar",
-                 "has_tally", "source", "scheduled", "_kernels")
+                 "has_tally", "source", "_kernels")
 
     def __init__(
         self,
@@ -554,7 +401,6 @@ class FusedProgram:
         scalar: CompiledProgram,
         has_tally: bool,
         source: str = "",
-        scheduled: bool = False,
     ) -> None:
         self.num_qubits = num_qubits
         self.num_bits = num_bits
@@ -563,9 +409,6 @@ class FusedProgram:
         self.scalar = scalar
         self.has_tally = has_tally
         self.source = source
-        #: Whether :func:`schedule_program` ran before fusion (metadata for
-        #: benchmarks/diagnostics; the results are identical either way).
-        self.scheduled = scheduled
         self._kernels: Dict[Tuple[str, bool], Any] = {}
 
     def __len__(self) -> int:
@@ -580,7 +423,7 @@ class FusedProgram:
 
     def __getstate__(self):
         return (self.num_qubits, self.num_bits, self.root, self.scopes,
-                self.scalar, self.has_tally, self.source, self.scheduled)
+                self.scalar, self.has_tally, self.source)
 
     def __setstate__(self, state):
         self.__init__(*state)
@@ -607,29 +450,6 @@ class FusedProgram:
                 )
             self._kernels[key] = fn
         return fn
-
-    def run_length_histogram(self) -> Dict[int, int]:
-        """``{run_length: run_count}`` over the whole scope tree.
-
-        Unfused gate singletons count as runs of length 1, so the
-        histogram's weighted total equals the program's gate-instruction
-        count — comparing the histogram of ``fuse_program(p)`` against
-        ``fuse_program(p, schedule=True)`` measures exactly what the
-        scheduler bought.
-        """
-        hist: Dict[int, int] = {}
-        stack = [self.root]
-        while stack:
-            scope = stack.pop()
-            for kind, item in scope.items:
-                if kind == "run":
-                    hist[item.count] = hist.get(item.count, 0) + 1
-                elif kind == "instr":
-                    if item[0] in _RUN_READS:
-                        hist[1] = hist.get(1, 0) + 1
-                else:
-                    stack.append(item)
-        return hist
 
     def fusion_stats(self) -> Dict[str, int]:
         """Superinstruction census: how much of the stream was fused."""
@@ -658,13 +478,12 @@ class FusedProgram:
 
 
 #: Memo of recently fused caller-held programs, keyed by the compiled
-#: program's id plus the schedule flag (the same program fuses to two
-#: distinct trees).  Entries hold a strong reference to their source
+#: program's id.  Entries hold a strong reference to their source
 #: program, so a live entry's key can never be recycled; the LRU bound
 #: keeps the memo from pinning old programs forever, and programs fused
 #: on the fly (``memoize=False`` call sites) never enter it at all.
 #: Guarded by a lock: threaded sweep workers share one process-wide memo.
-_FUSED_MEMO: "Dict[Tuple[int, bool], Tuple[CompiledProgram, FusedProgram]]" = {}
+_FUSED_MEMO: "Dict[int, Tuple[CompiledProgram, FusedProgram]]" = {}
 _FUSED_MEMO_MAX = 16
 _FUSED_MEMO_LOCK = threading.Lock()
 
@@ -674,7 +493,6 @@ def fuse_program(
     tally: Optional[bool] = None,
     *,
     memoize: Optional[bool] = None,
-    schedule: bool = False,
 ) -> FusedProgram:
     """Regroup a compiled program into a :class:`FusedProgram`.
 
@@ -687,13 +505,8 @@ def fuse_program(
     Measurements and branch headers are barriers.  Per-instruction tally
     tuples are aggregated into per-scope ``counts``.
 
-    ``schedule=True`` runs :func:`schedule_program` first: commuting gates
-    are reordered to lengthen same-opcode runs before fusion (results are
-    bit-identical; ``FusedProgram.scheduled`` records the choice and
-    :meth:`FusedProgram.run_length_histogram` measures the effect).
-
-    Fusing the *same* :class:`CompiledProgram` object again (with the same
-    ``schedule`` flag) returns the memoized :class:`FusedProgram` (and
+    Fusing the *same* :class:`CompiledProgram` object again returns the
+    memoized :class:`FusedProgram` (and
     with it the cached generated kernel), so repeatedly executing a
     pre-compiled program — the sweep and benchmark pattern — pays fusion
     and code generation once.  ``memoize`` defaults to exactly that case
@@ -710,16 +523,12 @@ def fuse_program(
             memoize = True
         if memoize:
             with _FUSED_MEMO_LOCK:
-                entry = _FUSED_MEMO.get((id(program), schedule))
+                entry = _FUSED_MEMO.get(id(program))
                 if entry is not None and entry[0] is program:
                     # refresh recency: a hot program is not the next eviction
-                    _FUSED_MEMO.pop((id(program), schedule))
-                    _FUSED_MEMO[(id(program), schedule)] = entry
+                    _FUSED_MEMO.pop(id(program))
+                    _FUSED_MEMO[id(program)] = entry
                     return entry[1]
-    memo_key = (id(program), schedule)
-    memo_source = program
-    if schedule:
-        program = schedule_program(program)
     instructions = program.instructions
     tallies = program.tallies
 
@@ -754,7 +563,7 @@ def fuse_program(
             counts = stack[-1].counts
             for name in names:
                 counts[name] = counts.get(name, 0) + 1
-        if op in _RUN_READS:
+        if op in _RUN_WRITES:
             touched = {instr[1 + i] for i in range(len(instr) - 1)}
             writes = {instr[i] for i in _RUN_WRITES[op]}
             if op != run_op or (touched & run_written):
@@ -787,11 +596,10 @@ def fuse_program(
         scalar=program,
         has_tally=program.has_tally,
         source=program.source,
-        scheduled=schedule,
     )
     if memoize:
         with _FUSED_MEMO_LOCK:
             if len(_FUSED_MEMO) >= _FUSED_MEMO_MAX:
                 _FUSED_MEMO.pop(next(iter(_FUSED_MEMO)))
-            _FUSED_MEMO[memo_key] = (memo_source, fused)
+            _FUSED_MEMO[id(program)] = (program, fused)
     return fused

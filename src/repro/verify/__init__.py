@@ -1,7 +1,7 @@
 """Differential verification: random circuits, an equivalence oracle, a shrinker.
 
 Every layer of the backend ladder — the interpretive engine walk, the
-scalar compiled VM, the fused codegen and stacked-array kernels — and every
+generated codegen and vector kernels and the cost-model dispatch — and every
 registered :mod:`repro.transform` rewrite must preserve circuit semantics
 for *all* measurement-outcome streams.  This package turns that claim into
 a standing, systematic test harness instead of a pile of hand-rolled
@@ -14,8 +14,8 @@ randomized tests:
     tunable width, depth and nesting.
 :mod:`repro.verify.oracle`
     The equivalence oracle: runs a circuit through every execution
-    strategy (classical, bitplane interpretive, compiled scalar, fused
-    codegen, fused vector, cost-model auto) and every registered transform
+    strategy (classical, bitplane interpretive, fused codegen, fused
+    vector, cost-model auto) and every registered transform
     pipeline with
     scripted outcome providers, comparing final states, classical bits,
     executed-gate tallies, per-lane tallies and outcome-stream

@@ -1,6 +1,6 @@
 """The equivalence oracle: one circuit, every backend, every transform.
 
-:func:`check_circuit` runs a circuit through the six *execution
+:func:`check_circuit` runs a circuit through the five *execution
 strategies* of the backend ladder
 
 ======================  ====================================================
@@ -8,13 +8,13 @@ strategies* of the backend ladder
                         run per lane (broadcast-input cross-check)
 ``interpretive``        :class:`~repro.sim.bitplane.BitplaneSimulator.run`
                         (the engine op-stream walk)
-``scalar``              ``run_compiled(fused=False)`` — the flat compiled VM
 ``codegen``             ``run_compiled()`` — the fused generated kernel
-``vector``              ``run_compiled(kernels="vector")`` — the generated
+``vector``              ``run_compiled(strategy="vector")`` — the generated
                         straight-line numpy kernel
-``auto``                the calibrated cost model resolves a concrete
-                        strategy (:mod:`repro.sim.dispatch.cost`) and that
-                        choice runs (the dispatch-decision layer)
+``auto``                ``run_compiled(strategy="auto")`` — the calibrated
+                        cost model (:mod:`repro.sim.dispatch.cost`) resolves
+                        a concrete kernel and that choice runs (the
+                        dispatch-decision layer)
 ======================  ====================================================
 
 and through every registered :mod:`repro.transform` pass (``invert`` as the
@@ -88,7 +88,7 @@ from ..sim import (
     UnsupportedGateError,
 )
 from ..sim.outcomes import OutcomeProvider
-from ..sim.strategies import FUSED_KERNELS
+from ..sim.strategies import COMPILED_STRATEGIES
 from ..transform import apply_transforms, compile_program, fuse_program
 from .generate import GeneratedCase
 
@@ -103,13 +103,12 @@ __all__ = [
     "check_case",
 ]
 
-#: The six execution strategies of the backend ladder (the fused kernel
-#: names come from :data:`repro.sim.strategies.FUSED_KERNELS`).
-STRATEGIES = (
-    "classical",
-    "interpretive",
-    "scalar",
-) + FUSED_KERNELS + ("auto",)
+#: Strategies that run on the vectorized bit-plane state (the names come
+#: from :data:`repro.sim.strategies.STRATEGIES`).
+BITPLANE_STRATEGIES = ("interpretive",) + COMPILED_STRATEGIES
+
+#: The five execution strategies of the backend ladder.
+STRATEGIES = ("classical",) + BITPLANE_STRATEGIES
 
 #: The registered transform passes the oracle exercises.
 TRANSFORMS = (
@@ -119,13 +118,6 @@ TRANSFORMS = (
     "decompose_clifford_t",
     "cancel_adjacent",
 )
-
-#: Strategies that run on the vectorized bit-plane state.
-BITPLANE_STRATEGIES = ("interpretive", "scalar") + FUSED_KERNELS + ("auto",)
-
-#: Strategies that validate eagerly at compile time (must *reject* circuits
-#: outside basis-state semantics, consistently with compile_program).
-COMPILED_STRATEGIES = ("scalar",) + FUSED_KERNELS + ("auto",)
 
 #: Matrix column for the untransformed differential run.
 BASE = "none"
@@ -213,28 +205,6 @@ def _make_script(circuit: Circuit, rng: random.Random) -> List[int]:
     return [rng.randint(0, 1) for _ in range(_event_bound(circuit) + 4)]
 
 
-def _resolve_auto(circuit: Circuit, batch: int, lane_counts, program):
-    """The concrete strategy the cost model picks for this request.
-
-    Mirrors what ``simulate(backend="auto")`` would do for a compiled
-    bit-plane run over the compiled strategies; ``scalar`` is feasible only
-    when no per-lane counters are tracked (the flat VM has none).
-    """
-    from ..sim.dispatch.cost import default_model
-
-    if program is None:
-        program = compile_program(circuit, tally=True)  # may raise
-    scalar = getattr(program, "scalar", program)
-    choice = default_model().choose(
-        ops=len(scalar.instructions),
-        batch=batch,
-        tally=True,
-        lane_counts=bool(lane_counts),
-        candidates=("scalar",) + FUSED_KERNELS,
-    )
-    return choice, program
-
-
 def _run_bitplane(
     strategy: str,
     circuit: Circuit,
@@ -245,21 +215,8 @@ def _run_bitplane(
     program=None,
     noise=None,
 ) -> _RunResult:
-    if strategy == "auto":
-        try:
-            choice, program = _resolve_auto(circuit, batch, lane_counts, program)
-        except UnsupportedGateError as exc:
-            return _RunResult(strategy, error=str(exc))
-        prog = getattr(program, "scalar", program) if choice == "scalar" else program
-        result = _run_bitplane(
-            choice, circuit, inputs, provider, batch, lane_counts, program=prog,
-            noise=noise,
-        )
-        result.strategy = strategy
-        return result
-    track = lane_counts if strategy != "scalar" else None
     sim = BitplaneSimulator(
-        circuit, batch=batch, outcomes=provider, tally=True, lane_counts=track,
+        circuit, batch=batch, outcomes=provider, tally=True, lane_counts=lane_counts,
         noise=noise,
     )
     for name, values in inputs.items():
@@ -267,14 +224,8 @@ def _run_bitplane(
     try:
         if strategy == "interpretive":
             sim.run()
-        elif strategy == "scalar":
-            sim.run_compiled(program, fused=False)
-        elif strategy == "codegen":
-            sim.run_compiled(program)
-        elif strategy == "vector":
-            sim.run_compiled(program, kernels="vector")
-        else:  # pragma: no cover - guarded by STRATEGIES
-            raise ValueError(f"unknown strategy {strategy!r}")
+        else:
+            sim.run_compiled(program, strategy=strategy)
     except UnsupportedGateError as exc:
         return _RunResult(strategy, error=str(exc))
     return _RunResult(
@@ -283,7 +234,7 @@ def _run_bitplane(
         bits=tuple(tuple(sim.get_bit(b)) for b in range(circuit.num_bits)),
         tally=sim.tally,
         consumed=getattr(provider, "consumed", None),
-        lane_tally=tuple(sim.lane_tally().tolist()) if track else None,
+        lane_tally=tuple(sim.lane_tally().tolist()) if lane_counts else None,
     )
 
 
@@ -406,10 +357,9 @@ class _Checker:
         # (a) varied lanes, shared script, all bit-plane strategies
         runs: Dict[str, _RunResult] = {}
         for strategy in BITPLANE_STRATEGIES:
-            prog = program if strategy == "scalar" else fused
             runs[strategy] = _run_bitplane(
                 strategy, circuit, inputs, forced(), self.batch,
-                self.lane_counts, program=prog,
+                self.lane_counts, program=fused,
             )
         ref = runs["interpretive"]
         supported = [s for s, r in runs.items() if r.error is None]
@@ -431,7 +381,7 @@ class _Checker:
         rand_runs = {
             strategy: _run_bitplane(
                 strategy, circuit, inputs, RandomOutcomes(self.seed), self.batch,
-                self.lane_counts, program=program if strategy == "scalar" else fused,
+                self.lane_counts, program=fused,
             )
             for strategy in BITPLANE_STRATEGIES
         }
@@ -589,10 +539,9 @@ class _Checker:
 
         runs: Dict[str, _RunResult] = {}
         for strategy in BITPLANE_STRATEGIES:
-            prog = program if strategy == "scalar" else fused
             runs[strategy] = _run_bitplane(
                 strategy, circuit, self.inputs, provider(), self.batch,
-                self.lane_counts, program=prog, noise=noise,
+                self.lane_counts, program=fused, noise=noise,
             )
         ref = runs["interpretive"]
         supported = [s for s, r in runs.items() if r.error is None]
@@ -615,9 +564,7 @@ class _Checker:
             strategy: _run_bitplane(
                 strategy, circuit, self.inputs,
                 NoisyOutcomes(RandomOutcomes(self.seed), rate, seed=flip_seed),
-                self.batch, self.lane_counts,
-                program=program if strategy == "scalar" else fused,
-                noise=noise,
+                self.batch, self.lane_counts, program=fused, noise=noise,
             )
             for strategy in BITPLANE_STRATEGIES
         }

@@ -2,10 +2,11 @@
 
 These tests pin the ``simulate()``/``run_compiled`` validation surface,
 the cost model's capability filtering, calibration loading and fitting,
-the names the frozen end-to-end benchmark (``perfbench/``) still
-imports from :mod:`repro.sim.dispatch`, the loud rejection of the
-removed ``arrays`` and lane-sharding strategies, and the kernel
-independence of Monte-Carlo estimates.
+the surface the frozen end-to-end benchmark (``perfbench/``) still
+uses, the loud rejection of the removed strategies (``arrays``, lane
+sharding, the scalar VM, the scheduler) and of the knobs the single
+``strategy=`` argument replaced, and the strategy independence of
+Monte-Carlo estimates.
 """
 
 import json
@@ -14,7 +15,13 @@ import pytest
 
 from repro.modular import build_modadd
 from repro.noise import NoiseConfig, insert_noise_points
-from repro.pipeline import mc_expected_counts
+from repro.pipeline import (
+    CircuitCache,
+    CircuitSpec,
+    ExecutionPolicy,
+    mc_expected_counts,
+)
+from repro.pipeline.cli import main as sweep_main
 from repro.sim import (
     BitplaneSimulator,
     RandomOutcomes,
@@ -30,7 +37,12 @@ from repro.sim.dispatch.cost import (
     fit_calibration,
     load_calibration,
 )
-from repro.sim.strategies import FUSED_KERNELS, KERNEL_CHOICES, LADDER
+from repro.sim.strategies import (
+    COMPILED_STRATEGIES,
+    FUSED_KERNELS,
+    LADDER,
+    STRATEGIES,
+)
 from repro.transform import apply_transforms, compile_program, fuse_program
 
 LANE_GATES = ("x", "cx", "ccx")
@@ -93,6 +105,38 @@ class TestFrozenBenchmarkCompat:
             default_model().choose(ops=10, batch=64,
                                    candidates=("sharded", "arrays"))
 
+    def test_cache_program_takes_a_third_positional_argument(self):
+        # perfbench/spans.py overrides CircuitCache.program(spec, tally,
+        # schedule) and forwards all three arguments positionally.
+        cache = CircuitCache()
+        spec = CircuitSpec.make("modadd", 3, p=5, family="cdkpm", mbu=True)
+        program = cache.program(spec, True, False)
+        assert program is cache.program(spec)
+        assert len(program.scalar.instructions) > 0
+        assert isinstance(program.kernel(events=True).__fused_source__, str)
+        with pytest.raises(ValueError, match="scheduler"):
+            cache.program(spec, True, True)
+
+    def test_sweep_mc_calls_carry_program_batch_repeats(self, monkeypatch):
+        # The traced sweep wraps runner.mc_or_none and reads these keywords.
+        from repro.pipeline import runner
+
+        seen = []
+        original = runner.mc_or_none
+
+        def spy(built, **k):
+            seen.append(k)
+            return original(built, **k)
+
+        monkeypatch.setattr(runner, "mc_or_none", spy)
+        runner.table_rows_with_mc("table1", 3, mc_batch=16, mc_repeats=2)
+        runner.modexp_row(2, 3, mc_batch=16)
+        assert len(seen) > 1
+        for k in seen:
+            assert len(k["program"].scalar.instructions) > 0
+            assert k["batch"] == 16
+            assert k.get("repeats", 1) in (1, 2)
+
 
 class TestSimulateWiring:
     """The ``simulate()``/``run_compiled`` validation surface (S1)."""
@@ -106,10 +150,38 @@ class TestSimulateWiring:
         with pytest.raises(ValueError, match="available:.*bitplane"):
             simulate(built.circuit, {"x": 1, "y": 2}, backend="quantum")
 
-    def test_unknown_kernels_lists_choices(self, built):
+    def test_unknown_strategy_lists_choices(self, built):
         sim = BitplaneSimulator(built.circuit, batch=8)
-        with pytest.raises(ValueError, match="'auto', 'codegen'"):
-            sim.run_compiled(kernels="simd")
+        with pytest.raises(ValueError, match="'codegen', 'vector', 'auto'"):
+            sim.run_compiled(strategy="simd")
+
+    def test_run_compiled_rejects_interpretive(self, built):
+        sim = BitplaneSimulator(built.circuit, batch=8)
+        with pytest.raises(ValueError, match="unknown execution strategy"):
+            sim.run_compiled(strategy="interpretive")
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_simulate_strategies_agree(self, built, strategy):
+        ref = simulate(built.circuit, _inputs(8), backend="bitplane", batch=8,
+                       seed=4)
+        got = simulate(built.circuit, _inputs(8), backend="bitplane", batch=8,
+                       seed=4, strategy=strategy)
+        assert (got.registers, got.bits, got.tally) == (
+            ref.registers, ref.bits, ref.tally
+        )
+
+    def test_program_defaults_to_codegen(self, built, program, monkeypatch):
+        ran = []
+        original = BitplaneSimulator.run_compiled
+
+        def spy(sim, prog=None, **kwargs):
+            ran.append((prog, kwargs))
+            return original(sim, prog, **kwargs)
+
+        monkeypatch.setattr(BitplaneSimulator, "run_compiled", spy)
+        simulate(built.circuit, _inputs(8), backend="bitplane", batch=8,
+                 program=program)
+        assert ran == [(program, {"strategy": "codegen"})]
 
     def test_auto_backend_records_resolved_strategy(self, built):
         result = simulate(
@@ -118,7 +190,7 @@ class TestSimulateWiring:
         assert result.backend.startswith("auto:")
         plain = simulate(
             built.circuit, _inputs(8), backend="bitplane", batch=8,
-            compiled=True, seed=4,
+            strategy="codegen", seed=4,
         )
         assert result.registers == plain.registers
         assert result.bits == plain.bits
@@ -127,7 +199,7 @@ class TestSimulateWiring:
         sim = BitplaneSimulator(built.circuit, batch=8, outcomes=RandomOutcomes(4))
         for name, values in _inputs(8).items():
             sim.set_register(name, values)
-        sim.run_compiled(kernels="auto")
+        sim.run_compiled(strategy="auto")
         ref = _single_run(built, _inputs(8), 8, RandomOutcomes(4))
         assert sim.get_register("y") == ref.get_register("y")
 
@@ -144,10 +216,10 @@ class TestCostModel:
                               candidates=("classical", "codegen"))
         assert choice == "codegen"
 
-    def test_scalar_excluded_when_lane_counts_tracked(self):
-        model = default_model()
-        choice = model.choose(ops=5, batch=64, lane_counts=True,
-                              candidates=("scalar", "codegen"))
+    def test_classical_excluded_when_lane_counts_tracked(self):
+        model = CostModel(dict(DEFAULT_CALIBRATION))
+        choice = model.choose(ops=10, batch=1, lane_counts=True,
+                              candidates=("classical", "codegen"))
         assert choice == "codegen"
 
     def test_no_feasible_candidate_raises(self):
@@ -221,29 +293,71 @@ class TestCostModel:
 
 
 class TestRemovedStrategies:
-    """Lane sharding and the ``arrays`` interpreter are gone: their names
-    and knobs fail loudly rather than being silently ignored (``simulate``
-    forwards unknown options to its runner)."""
+    """Lane sharding, the ``arrays`` interpreter, the scalar VM and the
+    scheduler are gone, and ``strategy=`` replaced the ``compiled``/
+    ``fused``/``kernels``/``schedule`` knobs: the old names fail loudly
+    rather than being silently ignored (``simulate`` forwards unknown
+    options to its runner)."""
 
-    @pytest.mark.parametrize("entry", ["run_compiled", "simulate", "mc"])
-    def test_arrays_kernels_rejected(self, built, entry):
-        with pytest.raises(ValueError, match="unknown fused kernel strategy"):
+    @pytest.mark.parametrize("removed", ["scalar", "arrays"])
+    @pytest.mark.parametrize("entry", ["run_compiled", "simulate", "mc", "policy"])
+    def test_removed_strategy_names_rejected(self, built, entry, removed):
+        with pytest.raises(ValueError, match="unknown execution strategy") as info:
             if entry == "run_compiled":
                 BitplaneSimulator(built.circuit, batch=8).run_compiled(
-                    kernels="arrays"
+                    strategy=removed
                 )
             elif entry == "simulate":
                 simulate(built.circuit, _inputs(8), backend="bitplane",
-                         batch=8, compiled=True, kernels="arrays")
+                         batch=8, strategy=removed)
+            elif entry == "mc":
+                mc_expected_counts(built, batch=8, strategy=removed)
             else:
-                mc_expected_counts(built, batch=8, kernels="arrays")
+                ExecutionPolicy(strategy=removed)
+        assert "'codegen', 'vector', 'auto'" in str(info.value)
+
+    @pytest.mark.parametrize("knob", [
+        {"compiled": True}, {"fused": False}, {"kernels": "vector"},
+        {"schedule": True},
+    ], ids=["compiled", "fused", "kernels", "schedule"])
+    @pytest.mark.parametrize("entry", ["run_compiled", "simulate", "mc", "policy"])
+    def test_replaced_knobs_rejected(self, built, entry, knob):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            if entry == "run_compiled":
+                BitplaneSimulator(built.circuit, batch=8).run_compiled(**knob)
+            elif entry == "simulate":
+                simulate(built.circuit, _inputs(8), backend="bitplane",
+                         batch=8, **knob)
+            elif entry == "mc":
+                mc_expected_counts(built, batch=8, **knob)
+            else:
+                ExecutionPolicy(**knob)
+
+    @pytest.mark.parametrize("flag", [["--kernels", "vector"], ["--schedule"]],
+                             ids=["kernels", "schedule"])
+    def test_replaced_cli_flags_rejected(self, flag, tmp_path):
+        with pytest.raises(SystemExit) as info:
+            sweep_main(["--smoke", "--out", str(tmp_path), *flag])
+        assert info.value.code == 2
+
+    @pytest.mark.parametrize("entry", ["simulate", "mc"])
+    def test_program_with_interpretive_rejected(self, built, program, entry):
+        # A compiled program cannot run on the interpretive walk; it used
+        # to be dropped silently (compiled=False with program=).
+        with pytest.raises(ValueError, match="compiled strategy"):
+            if entry == "simulate":
+                simulate(built.circuit, _inputs(8), backend="bitplane",
+                         batch=8, program=program, strategy="interpretive")
+            else:
+                mc_expected_counts(built, batch=8, program=program,
+                                   strategy="interpretive")
 
     @pytest.mark.parametrize("call", [
         lambda b: mc_expected_counts(b, batch=8, execution="sharded"),
         lambda b: mc_expected_counts(b, batch=8, shards=2),
         lambda b: mc_expected_counts(b, batch=8, executor="thread"),
         lambda b: simulate(b.circuit, _inputs(8), backend="bitplane", batch=8,
-                           compiled=True, executor="thread"),
+                           strategy="codegen", executor="thread"),
         lambda b: simulate(b.circuit, _inputs(8), backend="auto", batch=8,
                            shards=2),
         lambda b: default_model().choose(ops=10, batch=64, cores=4),
@@ -255,21 +369,21 @@ class TestRemovedStrategies:
 
 
 class TestMonteCarloKernels:
-    """``mc_expected_counts(kernels=...)`` is execution-only: every fused
-    kernel reproduces the interpretive estimate exactly, with and without
-    the noise channel."""
+    """``mc_expected_counts(strategy=...)`` is execution-only: every
+    compiled strategy reproduces the interpretive estimate exactly, with
+    and without the noise channel."""
 
     @pytest.mark.parametrize("noisy", [False, True], ids=["clean", "noisy"])
-    @pytest.mark.parametrize("kernels", KERNEL_CHOICES)
-    def test_kernels_match_interpretive(self, kernels, noisy):
+    @pytest.mark.parametrize("strategy", COMPILED_STRATEGIES)
+    def test_kernels_match_interpretive(self, strategy, noisy):
         circuit = insert_noise_points(build_modadd(4, 13, "gidney", mbu=True).circuit)
         kwargs = dict(
             batch=96, repeats=2, seed=42, gates=("ccx", "ccz", "x"),
             inputs=_inputs(96),
             noise=NoiseConfig(rate=0.2, seed=7) if noisy else None,
         )
-        reference = mc_expected_counts(circuit, compiled=False, **kwargs)
-        estimate = mc_expected_counts(circuit, kernels=kernels, **kwargs)
+        reference = mc_expected_counts(circuit, strategy="interpretive", **kwargs)
+        estimate = mc_expected_counts(circuit, strategy=strategy, **kwargs)
         assert estimate.mean == reference.mean
         assert estimate.variance == reference.variance
         assert estimate.samples == reference.samples == 96 * 2

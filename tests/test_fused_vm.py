@@ -1,14 +1,13 @@
 """The fused bit-plane VM: equivalence, fusion-stage and reuse properties.
 
-Three execution strategies must be observationally identical to the
-interpretive ``ExecutionEngine`` walk on every circuit the basis-state
+Both compiled execution strategies must be observationally identical to
+the interpretive ``ExecutionEngine`` walk on every circuit the basis-state
 semantics admit — same register planes, same classical bits, same
 executed-gate tally, same per-lane lane tallies, same measurement-outcome
 stream consumption:
 
-* the scalar compiled VM (``run_compiled(fused=False)``, PR 3's loop);
 * the fused generated-kernel VM (``run_compiled()``, the default);
-* the fused generated numpy VM (``run_compiled(kernels="vector")``).
+* the fused generated numpy VM (``run_compiled(strategy="vector")``).
 
 Circuits are randomized over gates, phase gates, Z/X measurements,
 (nested) conditionals and MBU blocks with garbage-targeting correction
@@ -43,16 +42,13 @@ BATCH = 96
 
 
 def _run_all_ways(circ, outcomes_factory, lane_counts=None, tally=True):
-    """Run interpretive + the three compiled strategies; return the sims."""
+    """Run interpretive + the compiled strategies; return the sims."""
     results = {}
     for key, runner in [
         ("interpretive", lambda s: s.run()),
-        ("scalar", lambda s: s.run_compiled(fused=False)),
         ("codegen", lambda s: s.run_compiled()),
-        ("vector", lambda s: s.run_compiled(kernels="vector")),
+        ("vector", lambda s: s.run_compiled(strategy="vector")),
     ]:
-        if key == "scalar" and lane_counts:
-            continue  # scalar VM has no per-lane counters
         sim = BitplaneSimulator(
             circ, batch=BATCH, outcomes=outcomes_factory(), tally=tally,
             lane_counts=lane_counts,
@@ -116,9 +112,8 @@ def test_fused_consumes_same_forced_script():
     consumed = {}
     for key, runner in [
         ("interpretive", lambda s: s.run()),
-        ("scalar", lambda s: s.run_compiled(fused=False)),
         ("codegen", lambda s: s.run_compiled()),
-        ("vector", lambda s: s.run_compiled(kernels="vector")),
+        ("vector", lambda s: s.run_compiled(strategy="vector")),
     ]:
         outcomes = ForcedOutcomes(script)
         sim = BitplaneSimulator(circ, batch=BATCH, outcomes=outcomes)
@@ -128,7 +123,7 @@ def test_fused_consumes_same_forced_script():
             assert (sim.planes == consumed["ref_planes"]).all(), key
         else:
             consumed["ref_planes"] = sim.planes
-    assert consumed["interpretive"] == consumed["scalar"] == consumed["codegen"] == consumed["vector"]
+    assert consumed["interpretive"] == consumed["codegen"] == consumed["vector"]
 
 
 def test_fused_on_modadd_against_known_sums():
@@ -136,11 +131,11 @@ def test_fused_on_modadd_against_known_sums():
     built = build_modadd(5, p, "gidney", mbu=True)
     xs = [pow(3, i + 1, p) for i in range(BATCH)]
     ys = [pow(5, i + 1, p) for i in range(BATCH)]
-    for kernels in (None, "vector"):
+    for strategy in ("codegen", "vector"):
         sim = BitplaneSimulator(built.circuit, batch=BATCH, outcomes=RandomOutcomes(3))
         sim.set_register("x", xs)
         sim.set_register("y", ys)
-        sim.run_compiled(kernels=kernels)
+        sim.run_compiled(strategy=strategy)
         assert sim.get_register("y") == [(x + y) % p for x, y in zip(xs, ys)]
 
 
@@ -374,8 +369,8 @@ class TestReuse:
     def test_mc_compiled_equals_interpretive(self):
         built = build_modadd(4, 13, "gidney", mbu=True)
         kwargs = dict(batch=128, repeats=3, seed=42, gates=("ccx", "ccz"))
-        compiled = mc_expected_counts(built, compiled=True, **kwargs)
-        interp = mc_expected_counts(built, compiled=False, **kwargs)
+        compiled = mc_expected_counts(built, strategy="codegen", **kwargs)
+        interp = mc_expected_counts(built, strategy="interpretive", **kwargs)
         assert compiled.mean == interp.mean
         assert compiled.variance == interp.variance
         assert compiled.stderr == interp.stderr
@@ -476,47 +471,21 @@ class TestKernelCodegen:
 
 
 class TestRunCompiledAPI:
-    def test_kernels_requires_fused(self):
-        built = build_modadd(3, 5, "cdkpm", mbu=True)
-        sim = BitplaneSimulator(built.circuit, batch=8)
-        with pytest.raises(ValueError, match="fused=True"):
-            sim.run_compiled(fused=False, kernels="vector")
-
     def test_unknown_kernel_strategy_rejected(self):
         built = build_modadd(3, 5, "cdkpm", mbu=True)
         sim = BitplaneSimulator(built.circuit, batch=8)
         with pytest.raises(ValueError, match="strategy"):
-            sim.run_compiled(kernels="gpu")
+            sim.run_compiled(strategy="gpu")
 
-    def test_fused_program_accepted_by_scalar_path(self):
-        built = build_modadd(3, 5, "cdkpm", mbu=True)
-        fused = fuse_program(built.circuit)
-        sim = BitplaneSimulator(built.circuit, batch=8, outcomes=RandomOutcomes(0))
-        sim.run_compiled(fused, fused=False)  # falls back to program.scalar
-        ref = BitplaneSimulator(built.circuit, batch=8, outcomes=RandomOutcomes(0))
-        ref.run()
-        assert (sim.planes == ref.planes).all()
-
-    def test_simulate_rejects_kernels_without_compiled(self):
-        from repro.sim import simulate
-
-        built = build_modadd(3, 5, "cdkpm", mbu=True)
-        with pytest.raises(ValueError, match="compiled=True"):
-            simulate(built.circuit, {"x": 1, "y": 2}, backend="bitplane",
-                     kernels="vector")
-        with pytest.raises(ValueError, match="compiled=True"):
-            simulate(built.circuit, {"x": 1, "y": 2}, backend="bitplane",
-                     fused=False)
-
-    def test_simulate_kernels_option(self):
+    def test_simulate_strategy_option(self):
         from repro.sim import simulate
 
         built = build_modadd(4, 13, "cdkpm", mbu=True)
         ref = simulate(built.circuit, {"x": 3, "y": 7}, backend="bitplane", seed=5)
-        for kernels in (None, "vector"):
+        for strategy in ("codegen", "vector"):
             out = simulate(
                 built.circuit, {"x": 3, "y": 7}, backend="bitplane", seed=5,
-                compiled=True, kernels=kernels,
+                strategy=strategy,
             )
             assert out.registers == ref.registers
             assert out.tally == ref.tally

@@ -28,7 +28,7 @@ from repro.sim import (
 )
 from tests.stat_helpers import assert_binomial_rate
 
-STRATEGIES = ("interpretive", "scalar", "codegen", "vector")
+STRATEGIES = ("interpretive", "codegen", "vector", "auto")
 PARTIAL_WORD_BATCHES = (1, 65)
 
 
@@ -48,14 +48,8 @@ def _run_strategy(strategy, circuit, inputs, provider, batch, noise=None):
         sim.set_register(name, values)
     if strategy == "interpretive":
         sim.run()
-    elif strategy == "scalar":
-        sim.run_compiled(fused=False)
-    elif strategy == "codegen":
-        sim.run_compiled()
-    elif strategy == "vector":
-        sim.run_compiled(kernels="vector")
-    else:  # pragma: no cover - test bug
-        raise ValueError(strategy)
+    else:
+        sim.run_compiled(strategy=strategy)
     return _snapshot(sim, circuit)
 
 

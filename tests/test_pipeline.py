@@ -22,6 +22,7 @@ from repro.pipeline import (
 from repro.pipeline.cli import main as cli_main, smoke_config
 from repro.resources import table1, table4, table6
 from repro.resources.tables import TABLE_SPECS, build_table_rows
+from repro.sim.strategies import STRATEGIES
 
 GOLDEN = Path(__file__).parent / "golden" / "sweep_smoke.json"
 TRANSFORM_GOLDEN = Path(__file__).parent / "golden" / "sweep_smoke_transform.json"
@@ -343,36 +344,25 @@ class TestCLIErrors:
         assert "unknown transform pass" in capsys.readouterr().err
 
 
-class TestScheduleAwareCache:
-    """`program()` keys by (spec, tally, schedule): a scheduled and an
-    unscheduled request must never alias (the pre-fix bug handed whoever
-    asked second the other caller's fusion)."""
+class TestProgramCache:
+    """`program()` keys by (spec, tally) and its entries die with their
+    circuit's."""
 
-    def test_schedule_variants_cached_independently(self):
+    def test_program_memoized_per_spec(self):
         cache = CircuitCache()
         spec = CircuitSpec.make("modadd", 3, p=5, family="cdkpm", mbu=True)
         plain = cache.program(spec)
-        scheduled = cache.program(spec, schedule=True)
-        assert plain is not scheduled
         assert cache.program(spec) is plain
-        assert cache.program(spec, schedule=True) is scheduled
-        assert cache.stats.program_misses == 2 and cache.stats.program_hits == 2
+        assert cache.stats.program_misses == 1 and cache.stats.program_hits == 1
 
-    def test_scheduled_program_is_actually_scheduled(self):
-        cache = CircuitCache()
-        spec = CircuitSpec.make("modadd", 3, p=5, family="cdkpm", mbu=True)
-        assert cache.program(spec, schedule=True).scheduled
-        assert not cache.program(spec).scheduled
-
-    def test_eviction_drops_all_schedule_variants(self):
+    def test_eviction_drops_program(self):
         cache = CircuitCache(maxsize=1)
         spec = CircuitSpec.make("modadd", 3, p=5, family="cdkpm", mbu=True)
         cache.program(spec)
-        cache.program(spec, schedule=True)
         cache.build(CircuitSpec.make("adder", 4, family="cdkpm"))  # evict
         assert cache.stats.evictions == 1
         cache.program(spec)
-        assert cache.stats.program_misses == 3  # recompiled, not replayed
+        assert cache.stats.program_misses == 2  # recompiled, not replayed
 
 
 class TestPerFamilyHitRatios:
@@ -411,31 +401,32 @@ class TestPerFamilyHitRatios:
 
 
 class TestExecutionOnlyKnobs:
-    """`schedule`/`kernels` are execution policy: they may change *how* the
-    sweep runs, never a byte of what it produces."""
+    """`strategy` is execution policy: it may change *how* the sweep runs,
+    never a byte of what it produces."""
 
-    def test_scheduled_vector_sweep_matches_golden(self):
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_strategy_sweep_matches_golden(self, strategy):
         from repro.pipeline.jobs import ExecutionPolicy
 
-        policy = ExecutionPolicy(schedule=True, kernels="vector")
+        policy = ExecutionPolicy(strategy=strategy)
         result = run_sweep(smoke_config(), policy=policy)
         golden = load_artifact(GOLDEN)
         assert diff_artifacts(sweep_artifact(result), golden) == []
 
-    def test_cli_schedule_kernels_flags_match_golden(self, tmp_path, capsys):
-        code = cli_main(["--smoke", "--schedule", "--kernels", "vector",
+    def test_cli_strategy_flag_matches_golden(self, tmp_path, capsys):
+        code = cli_main(["--smoke", "--strategy", "vector",
                          "--out", str(tmp_path), "--check", str(GOLDEN)])
         assert code == 0
         assert "matches golden" in capsys.readouterr().out
 
-    def test_bad_kernels_flag_rejected(self, capsys):
+    def test_bad_strategy_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            cli_main(["--smoke", "--kernels", "bogus"])
+            cli_main(["--smoke", "--strategy", "bogus"])
         assert exc.value.code == 2
-        assert "--kernels" in capsys.readouterr().err
+        assert "--strategy" in capsys.readouterr().err
 
-    def test_policy_validates_kernels(self):
+    def test_policy_validates_strategy(self):
         from repro.pipeline.jobs import ExecutionPolicy
 
-        with pytest.raises(ValueError, match="kernel"):
-            ExecutionPolicy(kernels="bogus")
+        with pytest.raises(ValueError, match="unknown execution strategy"):
+            ExecutionPolicy(strategy="bogus")

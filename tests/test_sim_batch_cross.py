@@ -121,9 +121,9 @@ def test_three_backends_agree_with_identical_tallies(case, family, script, x, y)
 
 _WINDOW_RUNNERS = {
     "interpretive": lambda sim: sim.run(),
-    "scalar": lambda sim: sim.run_compiled(fused=False),
     "codegen": lambda sim: sim.run_compiled(),
-    "vector": lambda sim: sim.run_compiled(kernels="vector"),
+    "vector": lambda sim: sim.run_compiled(strategy="vector"),
+    "auto": lambda sim: sim.run_compiled(strategy="auto"),
 }
 _WINDOW_GATES = ("x", "cx", "ccx")
 _WINDOW_BATCH = 70  # two uint64 words, so windows cut across a word boundary
@@ -141,18 +141,16 @@ def _window_run(case, strategy, lo, hi, outcome):
     a window sees exactly the outcomes its lanes see inside the full batch;
     per-lane differences come only from the data (Z-measurement-controlled
     branches over per-lane inputs)."""
-    track = None if strategy == "scalar" else _WINDOW_GATES
     sim = BitplaneSimulator(
         case.circuit, batch=hi - lo, outcomes=ConstantOutcomes(outcome),
-        lane_counts=track,
+        lane_counts=_WINDOW_GATES,
     )
     for name, values in case.inputs.items():
         sim.set_register(name, values[lo:hi])
     _WINDOW_RUNNERS[strategy](sim)
     registers = {name: sim.get_register(name) for name in case.circuit.registers}
     bits = [sim.get_bit(b) for b in range(case.circuit.num_bits)]
-    lanes = sim.lane_tally() if track else None
-    return registers, bits, lanes, sim.tally
+    return registers, bits, sim.lane_tally(), sim.tally
 
 
 def _window_cases():
@@ -177,8 +175,7 @@ def test_lane_windows_match_full_batch(strategy, windows):
                 assert [v for part in parts for v in part[0][name]] == full[0][name]
             for b in range(case.circuit.num_bits):
                 assert [v for part in parts for v in part[1][b]] == full[1][b]
-            if full[2] is not None:
-                assert (np.concatenate([part[2] for part in parts]) == full[2]).all()
+            assert (np.concatenate([part[2] for part in parts]) == full[2]).all()
 
 
 @pytest.mark.parametrize("strategy", sorted(_WINDOW_RUNNERS))

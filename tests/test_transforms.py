@@ -396,7 +396,8 @@ class TestCompiledPrograms:
         built = build_modadd(4, 13, "gidney", mbu=True)
         ref = simulate(built.circuit, {"x": 5, "y": 9}, backend="bitplane", seed=3)
         out = simulate(
-            built.circuit, {"x": 5, "y": 9}, backend="bitplane", seed=3, compiled=True
+            built.circuit, {"x": 5, "y": 9}, backend="bitplane", seed=3,
+            strategy="codegen",
         )
         assert out.registers == ref.registers
         assert out.bits == ref.bits
@@ -461,14 +462,6 @@ class TestCompiledPrograms:
                 built.circuit, {"x": 1, "y": 2}, backend="bitplane",
                 transforms=["cancel_adjacent"], program=program, tally=False,
             )
-
-    def test_lane_counts_unsupported_in_scalar_compiled_mode(self):
-        """The scalar (fused=False) VM has no per-lane counters; the fused
-        path supports them (see tests/test_fused_vm.py)."""
-        built = build_modadd(3, 5, "cdkpm", mbu=True)
-        sim = BitplaneSimulator(built.circuit, batch=8, lane_counts=("ccx",))
-        with pytest.raises(ValueError, match="lane_counts"):
-            sim.run_compiled(fused=False)
 
     def test_zero_active_branch_is_jumped(self):
         """A conditional whose bit is never set must leave state untouched

@@ -1,13 +1,13 @@
 """The generated numpy vector kernel: equivalence, scratch reuse, errors.
 
-``kernels="vector"`` compiles a :class:`FusedProgram` into one
+``strategy="vector"`` compiles a :class:`FusedProgram` into one
 straight-line Python function over the simulator's packed ``(rows,
 words)`` uint64 plane matrices — no per-instruction dispatch, in-place
 ufuncs into preallocated scratch, depth-0 full-mask elision, swaps as row
 renaming.  It must be observationally identical to the bigint codegen VM
 on everything the basis-state semantics admit, reuse its scratch buffers
 across ``reset()`` (the Monte-Carlo repetition pattern), and share the
-single kernels-name validation with every other entry point.
+single strategy-name validation with every other entry point.
 """
 
 import random
@@ -19,11 +19,12 @@ from repro.noise import NoiseConfig, insert_noise_points
 from repro.sim import (
     BitplaneSimulator,
     ConstantOutcomes,
+    COMPILED_STRATEGIES,
     ForcedOutcomes,
-    KERNEL_CHOICES,
     RandomOutcomes,
+    STRATEGIES,
     simulate,
-    validate_kernels,
+    validate_strategy,
 )
 from repro.sim.kernels import build_vector_kernel, generate_vector_source
 from repro.transform import compile_program, fuse_program
@@ -38,7 +39,7 @@ def _run_all(circ, outcomes_factory, lane_counts=None, tally=True):
     for key, runner in [
         ("interpretive", lambda s: s.run()),
         ("codegen", lambda s: s.run_compiled()),
-        ("vector", lambda s: s.run_compiled(kernels="vector")),
+        ("vector", lambda s: s.run_compiled(strategy="vector")),
     ]:
         sim = BitplaneSimulator(
             circ, batch=BATCH, outcomes=outcomes_factory(), tally=tally,
@@ -85,7 +86,7 @@ def test_vector_consumes_same_forced_script():
     consumed, planes = {}, {}
     for key, runner in [
         ("codegen", lambda s: s.run_compiled()),
-        ("vector", lambda s: s.run_compiled(kernels="vector")),
+        ("vector", lambda s: s.run_compiled(strategy="vector")),
     ]:
         outcomes = ForcedOutcomes(list(script))
         sim = BitplaneSimulator(circ, batch=BATCH, outcomes=outcomes)
@@ -109,8 +110,8 @@ def test_vector_lane_tallies_match(seed):
         assert (sim.lane_tally() == ref.lane_tally()).all(), key
 
 
-@pytest.mark.parametrize("schedule", [False, True])
-def test_vector_on_modadd_against_known_sums(schedule):
+@pytest.mark.parametrize("strategy", COMPILED_STRATEGIES)
+def test_vector_on_modadd_against_known_sums(strategy):
     p = 29
     built = build_modadd(5, p, "gidney", mbu=True)
     xs = [pow(3, i + 1, p) for i in range(BATCH)]
@@ -118,7 +119,7 @@ def test_vector_on_modadd_against_known_sums(schedule):
     sim = BitplaneSimulator(built.circuit, batch=BATCH, outcomes=RandomOutcomes(3))
     sim.set_register("x", xs)
     sim.set_register("y", ys)
-    sim.run_compiled(kernels="vector", schedule=schedule)
+    sim.run_compiled(strategy=strategy)
     assert sim.get_register("y") == [(x + y) % p for x, y in zip(xs, ys)]
 
 
@@ -126,15 +127,15 @@ def test_vector_on_modadd_against_known_sums(schedule):
 # noise determinism across the fused kernels
 
 
-def _noise_snapshot(circuit, inputs, kernels, *, batch=32):
+def _noise_snapshot(circuit, inputs, strategy, *, batch=32):
     noise = NoiseConfig(rate=0.2, seed=77)
     sim = BitplaneSimulator(circuit, batch=batch, outcomes=RandomOutcomes(4), noise=noise)
     for name, values in inputs.items():
         sim.set_register(name, values)
-    if kernels is None:
+    if strategy == "interpretive":
         sim.run()
     else:
-        sim.run_compiled(kernels=kernels)
+        sim.run_compiled(strategy=strategy)
     regs = {name: tuple(sim.get_register(name)) for name in circuit.registers}
     bits = tuple(tuple(sim.get_bit(b)) for b in range(circuit.num_bits))
     return regs, bits
@@ -147,9 +148,9 @@ def test_noise_bit_identical_across_kernels():
     circuit = insert_noise_points(build_modadd(4, 13, "cdkpm", mbu=True).circuit)
     inputs = {"x": [i % 13 for i in range(32)], "y": [(i * 5) % 13 for i in range(32)]}
 
-    reference = _noise_snapshot(circuit, inputs, None)
-    for kernels in FUSED:
-        assert _noise_snapshot(circuit, inputs, kernels) == reference, kernels
+    reference = _noise_snapshot(circuit, inputs, "interpretive")
+    for strategy in FUSED:
+        assert _noise_snapshot(circuit, inputs, strategy) == reference, strategy
 
 
 # --------------------------------------------------------------------------- #
@@ -159,11 +160,11 @@ def test_noise_bit_identical_across_kernels():
 def test_vector_scratch_survives_reset():
     built = build_modadd(4, 13, "cdkpm", mbu=True)
     sim = BitplaneSimulator(built.circuit, batch=256, outcomes=RandomOutcomes(1))
-    sim.run_compiled(kernels="vector")
+    sim.run_compiled(strategy="vector")
     first = sim._vector_scratch
     assert first is not None
     sim.reset(RandomOutcomes(2))
-    sim.run_compiled(kernels="vector")
+    sim.run_compiled(strategy="vector")
     second = sim._vector_scratch
     for a, b in zip(first, second):
         assert a is b  # same preallocated buffers, no churn per rep
@@ -195,21 +196,24 @@ def test_vector_kernel_metadata():
 # one validation, every entry point
 
 
-def test_kernels_validation_is_shared_and_lists_every_choice():
-    expected = ", ".join(repr(k) for k in KERNEL_CHOICES)
+def test_strategy_validation_is_shared_and_lists_every_choice():
+    expected = ", ".join(repr(k) for k in STRATEGIES)
     circ = build_modadd(3, 5, "cdkpm", mbu=True).circuit
 
     with pytest.raises(ValueError) as direct:
-        validate_kernels("bogus")
+        validate_strategy("bogus")
     assert expected in str(direct.value)
     assert "'vector'" in str(direct.value)
 
-    sim = BitplaneSimulator(circ, batch=4, outcomes=RandomOutcomes(0))
-    with pytest.raises(ValueError) as via_sim:
-        sim.run_compiled(kernels="bogus")
-
     with pytest.raises(ValueError) as via_api:
         simulate(circ, {"x": 1, "y": 2}, backend="bitplane", batch=4,
-                 kernels="bogus")
+                 strategy="bogus")
+    assert str(via_api.value) == str(direct.value)
 
-    assert str(via_sim.value) == str(direct.value) == str(via_api.value)
+    with pytest.raises(ValueError) as compiled:
+        validate_strategy("bogus", COMPILED_STRATEGIES)
+    sim = BitplaneSimulator(circ, batch=4, outcomes=RandomOutcomes(0))
+    with pytest.raises(ValueError) as via_sim:
+        sim.run_compiled(strategy="bogus")
+    assert str(via_sim.value) == str(compiled.value)
+    assert "'interpretive'" not in str(via_sim.value)

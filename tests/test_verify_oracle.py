@@ -55,7 +55,7 @@ def test_consistent_rejection_of_bare_hadamard():
     circ.cx(q[0], q[1])
     report = check_circuit(circ, {"q": 1}, transforms=())
     assert report.ok, report.summary()
-    for strategy in ("scalar", "codegen", "vector"):
+    for strategy in ("codegen", "vector", "auto"):
         assert report.matrix[(strategy, BASE)] == "reject"
     assert report.matrix[("interpretive", BASE)] == "reject"
     assert report.matrix[("classical", BASE)] == "reject"
@@ -73,7 +73,7 @@ def test_lazy_walks_may_skip_statically_unsupported_branches():
     circ.cond(bit, body, value=1)  # never taken
     report = check_circuit(circ, {"q": 0}, transforms=())
     assert report.ok, report.summary()
-    for strategy in ("scalar", "codegen", "vector"):
+    for strategy in ("codegen", "vector", "auto"):
         assert report.matrix[(strategy, BASE)] == "reject"
     assert report.matrix[("interpretive", BASE)] == "lazy"
     assert report.matrix[("classical", BASE)] == "lazy"

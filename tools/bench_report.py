@@ -4,9 +4,9 @@
 Each benchmark writes a machine-readable artifact with its own schema;
 this tool (stdlib only, like ``tools/check_docs.py``) flattens them into
 a single markdown table plus the headline *performance trajectory* — the
-chain of backend-ladder speedups the repo has accumulated PR over PR:
+chain of backend-ladder speedups the repo has accumulated:
 
-    classical -> bitplane -> compiled -> fused -> vectorized
+    classical -> bitplane (interpretive) -> fused codegen -> vectorized
               -> auto-dispatched
 
 Alongside the markdown it always rewrites
@@ -36,8 +36,8 @@ BENCH_DIR = REPO / "benchmarks"
 #: numeric still lands in the full table.
 HEADLINE = {
     "bitplane_vs_looped_classical": ("speedup_per_input", "bitplane vs looped classical (per input)"),
-    "compiled_vs_interpretive_bitplane": ("speedup", "compiled VM vs interpretive walk"),
-    "fused_vs_scalar_compiled_bitplane": ("speedup_vs_scalar", "fused kernels vs scalar compiled VM"),
+    "compiled_vs_interpretive_bitplane": ("speedup", "compiled codegen vs interpretive walk"),
+    "fused_vs_interpretive_bitplane": ("speedup_vs_interpretive", "fused kernels vs interpretive walk"),
     "dispatch_ladder_and_auto_selection": ("tally_on.vector_speedup_vs_codegen", "vector kernel vs fused codegen"),
 }
 
@@ -172,9 +172,9 @@ def dispatch_lines(artifacts: dict) -> list:
     )
     lines += [
         "",
-        "| case | interp -> scalar | scalar -> codegen | codegen -> vector "
+        "| case | interp -> codegen | codegen -> vector "
         "| auto picked (factor) |",
-        "|---|---|---|---|---|",
+        "|---|---|---|---|",
     ]
     for case, point in payload.get("results", {}).items():
         on = point.get("tally_on") or {}
@@ -186,8 +186,8 @@ def dispatch_lines(artifacts: dict) -> list:
             return f"{secs[a] / secs[b]:.2f}x"
 
         lines.append(
-            f"| {case} | {rung('interpretive', 'scalar')} "
-            f"| {rung('scalar', 'codegen')} | {rung('codegen', 'vector')} "
+            f"| {case} | {rung('interpretive', 'codegen')} "
+            f"| {rung('codegen', 'vector')} "
             f"| {on.get('auto_choice', '-')} ({fmt(on.get('auto_factor', 0))}x) |"
         )
     return lines
